@@ -90,6 +90,10 @@ def macaulay_rep(s: int, p: int) -> MacaulayRep:
     remainder; the strict decrease of the resulting numerators is
     automatic.  All arithmetic is exact.
     """
+    if isinstance(s, bool) or isinstance(p, bool) or not isinstance(s, int) or not isinstance(p, int):
+        raise InvalidInputError(
+            f"s and p must be integers, got {type(s).__name__} and {type(p).__name__}"
+        )
     if s < 0:
         raise InvalidInputError("cannot represent a negative integer")
     if p < 1:

@@ -5,13 +5,24 @@ Everything here works by materializing monomial lists and spans for small
 other modules.  The verification sweep treats each cell independently and
 purely, so cells could run concurrently; results merge deterministically
 by cell coordinates.
+
+An ideal segment is a prefix of the cell's lex-descending list of degree-delta
+monomials and a quotient segment a suffix, so each segment check compares
+the closed form's output against a slice of that enumerated list: by the lex
+positions of the generators it enumerates, or by the size and largest
+position of a brute-force span.  Where the premise of a slice fails (a
+product off the full window, or one that changes kind or inclusiveness, or
+an exponent missing from the list), the check falls back to enumerating
+both sides in full.  Positions come from enumeration alone, never from rank
+or dimension formulas: the oracle exists to check those formulas, so it
+must not trust them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import duality, segments
 from .errors import InvalidInputError, NoPredecessorError, ResourceLimitError
@@ -86,47 +97,57 @@ def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> E
 
 def enumerate_segment(seg: SegmentSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Monomial]:
     """Generator list of a segment by direct filtering, lex-descending."""
-    window_size = space_dimension(seg.window.size, seg.delta)
-    if window_size > cap:
-        raise ResourceLimitError(f"window space of dimension {window_size} exceeds the cap {cap}")
-    target = seg.m.exponents
-    out = []
-    for t in _window_tuples(seg.n, seg.window.lo, seg.window.hi, seg.delta):
-        if seg.kind == IDEAL:
-            keep = t >= target if seg.inclusive else t > target
-        else:
-            keep = t <= target if seg.inclusive else t < target
-        if keep:
-            out.append(Monomial(t))
-    return out
+    window = _capped_window_tuples(seg.n, seg.window.lo, seg.window.hi, seg.delta, cap)
+    return [Monomial(t) for t in _segment_of(seg, window)]
 
 
 def enumerate_summand(summand: segments.Summand) -> list[Monomial]:
     """Generators of one decomposition summand: prefix times its window space."""
     if summand.degree < 0:
         return []
-    n = summand.prefix.n
-    prefix = summand.prefix.exponents
-    return [
-        Monomial(tuple(p + t for p, t in zip(prefix, tail)))
-        for tail in _window_tuples(n, summand.window.lo, summand.window.hi, summand.degree)
-    ]
+    tails = _window_tuples(summand.prefix.n, summand.window.lo, summand.window.hi, summand.degree)
+    return [Monomial(t) for t in _prefixed(summand.prefix.exponents, tails)]
+
+
+def _capped_window_tuples(n: int, lo: int, hi: int, degree: int, cap: int) -> list[tuple[int, ...]]:
+    size = space_dimension(hi - lo + 1, degree)
+    if size > cap:
+        raise ResourceLimitError(f"window space of dimension {size} exceeds the cap {cap}")
+    return _window_tuples(n, lo, hi, degree)
+
+
+def _segment_of(seg: SegmentSpec, window: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The tuples of seg's window listing that generate seg, by direct comparison with m."""
+    target = seg.m.exponents
+    if seg.kind == IDEAL:
+        if seg.inclusive:
+            return [t for t in window if t >= target]
+        return [t for t in window if t > target]
+    if seg.inclusive:
+        return [t for t in window if t <= target]
+    return [t for t in window if t < target]
+
+
+def _prefixed(prefix: tuple[int, ...], tails: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return [tuple(p + t for p, t in zip(prefix, tail)) for tail in tails]
 
 
 def span_multiply(generators: Iterable[Monomial]) -> list[Monomial]:
     """Deduplicated products {g * x_i}, lex-descending; the span of S_1 times the input."""
-    gens = list(generators)
+    return [Monomial(t) for t in sorted(_span_tuples(list(generators)), reverse=True)]
+
+
+def _span_tuples(gens: Sequence[Monomial]) -> set[tuple[int, ...]]:
     if not gens:
-        return []
+        return set()
     if len({g.degree for g in gens}) != 1:
         raise InvalidInputError("span generators must share one degree")
     n = gens[0].n
-    products = {
+    return {
         g.exponents[:i] + (g.exponents[i] + 1,) + g.exponents[i + 1 :]
         for g in gens
         for i in range(n)
     }
-    return [Monomial(t) for t in sorted(products, reverse=True)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +162,12 @@ class MonomialIdealSample:
 def random_monomial_sample(
     n: int, delta: int, size: int, rng: random.Random, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MonomialIdealSample:
-    space = enumerate_space(n, delta, cap)
+    return _sample_of(enumerate_space(n, delta, cap), size, rng)
+
+
+def _sample_of(space: EnumeratedSpace, size: int, rng: random.Random) -> MonomialIdealSample:
     picks = rng.sample(range(len(space)), size)
-    return MonomialIdealSample(n, delta, tuple(space.monomials[i] for i in sorted(picks)))
+    return MonomialIdealSample(space.n, space.delta, tuple(space.monomials[i] for i in sorted(picks)))
 
 
 def hilbert_next(sample: MonomialIdealSample, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, int]:
@@ -151,8 +175,8 @@ def hilbert_next(sample: MonomialIdealSample, cap: int = DEFAULT_ENUMERATION_CAP
     total_next = space_dimension(sample.n, sample.delta + 1)
     if total_next > cap:
         raise ResourceLimitError(f"next graded piece of dimension {total_next} exceeds the cap {cap}")
-    span = span_multiply(sample.generators)
-    return len(span), total_next - len(span)
+    grown = len(_span_tuples(sample.generators))
+    return grown, total_next - grown
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +214,83 @@ class VerificationReport:
 
 
 class _Cell:
-    """Per-cell precomputation shared by all property checks."""
+    """Per-cell precomputation shared by all property checks.
+
+    Segments are checked as slices of the cell's own enumerated lists:
+    `pos` and `next_pos` give each exponent tuple its lex position, and
+    window enumerations are memoized as raw tuples for the cell's lifetime.
+    """
 
     def __init__(self, n: int, delta: int, cap: int):
         self.n = n
         self.delta = delta
+        self.cap = cap
         self.label = f"({n},{delta})"
         self.space = enumerate_space(n, delta, cap)
         self.exps = [m.exponents for m in self.space.monomials]
         self.total = len(self.exps)
+        self.pos = {t: k for k, t in enumerate(self.exps)}
         self.next_exps = [m.exponents for m in enumerate_space(n, delta + 1, cap).monomials]
         self.next_pos = {t: k for k, t in enumerate(self.next_exps)}
         self.total_next = len(self.next_exps)
+        # premise of reading a next-degree segment as a slice of next_exps
+        self.next_sorted = self.total_next == space_dimension(n, delta + 1) and all(
+            a > b for a, b in zip(self.next_exps, self.next_exps[1:])
+        )
+        self._windows: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
+        self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
 
-    def span_of_prefix_sizes(self) -> list[int]:
-        """|span(S_1 * first k monomials)| for k = 0..total, built incrementally."""
-        sizes = [0]
-        span: set[tuple[int, ...]] = set()
-        for t in self.exps:
-            for i in range(self.n):
-                span.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
-            sizes.append(len(span))
-        return sizes
+    def prefix_spans(self) -> tuple[list[int], Optional[list[int]]]:
+        """Size and largest next-degree position of span(S_1 * first j monomials), j = 0..total.
+
+        One incremental walk over the brute-force span sets.  The positions
+        are None when some product is missing from next_exps.
+        """
+        if self._prefix_spans is None:
+            sizes, largest = [0], [-1]
+            span: set[tuple[int, ...]] = set()
+            top, complete = -1, True
+            for t in self.exps:
+                for i in range(self.n):
+                    u = t[:i] + (t[i] + 1,) + t[i + 1 :]
+                    if u not in span:
+                        span.add(u)
+                        k = self.next_pos.get(u)
+                        if k is None:
+                            complete = False
+                        elif k > top:
+                            top = k
+                sizes.append(len(span))
+                largest.append(top)
+            self._prefix_spans = (sizes, largest if complete else None)
+        return self._prefix_spans
+
+    def window_tuples(self, n: int, lo: int, hi: int, degree: int) -> list[tuple[int, ...]]:
+        key = (n, lo, hi, degree)
+        if key not in self._windows:
+            self._windows[key] = _capped_window_tuples(n, lo, hi, degree, self.cap)
+        return self._windows[key]
+
+    def segment_tuples(self, seg: SegmentSpec) -> list[tuple[int, ...]]:
+        """enumerate_segment(seg) as raw exponent tuples."""
+        return _segment_of(seg, self.window_tuples(seg.n, seg.window.lo, seg.window.hi, seg.delta))
+
+    def summand_tuples(self, summand: segments.Summand) -> list[tuple[int, ...]]:
+        """enumerate_summand(summand) as raw exponent tuples."""
+        if summand.degree < 0:
+            return []
+        window = summand.window
+        tails = self.window_tuples(summand.prefix.n, window.lo, window.hi, summand.degree)
+        return _prefixed(summand.prefix.exponents, tails)
+
+    def fills(self, gens: list[tuple[int, ...]], lo: int, hi: int) -> bool:
+        """True when gens are distinct and are exactly the enumerated monomials at lo..hi-1."""
+        if len(self.pos) != self.total:  # positions are not a bijection: compare sets
+            return len(set(gens)) == len(gens) and set(gens) == set(self.exps[lo:hi])
+        found = set(map(self.pos.get, gens))
+        if len(found) != len(gens) or len(gens) != hi - lo or None in found:
+            return False
+        return not found or (min(found) >= lo and max(found) < hi)
 
 
 def _check(cell_label: str, prop: str, failures: list[str], checked: str) -> CheckResult:
@@ -295,24 +374,15 @@ def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
     return _check(cell.label, "segment_dimensions", failures, f"{total} monomials")
 
 
-def _materialized_partition(seg: SegmentSpec, expected: list[tuple[int, ...]]) -> bool:
-    seen: set[tuple[int, ...]] = set()
-    count = 0
-    for summand in decompose(seg).summands:
-        for g in enumerate_summand(summand):
-            seen.add(g.exponents)
-            count += 1
-    return count == len(seen) and seen == set(expected)
-
-
 def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
     failures = []
     for k, m in enumerate(cell.space.monomials):
-        if not _materialized_partition(ideal_segment(m), cell.exps[:k]):
-            failures.append(f"ideal partition broken at m={m.to_csv()}")
-            break
-        if not _materialized_partition(quotient_segment(m), cell.exps[k + 1 :]):
-            failures.append(f"quotient partition broken at m={m.to_csv()}")
+        for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
+            gens = [g for s in decompose(seg).summands for g in cell.summand_tuples(s)]
+            if not cell.fills(gens, lo, hi):
+                failures.append(f"{seg.kind} partition broken at m={m.to_csv()}")
+                break
+        if failures:
             break
     return _check(cell.label, "decomposition_partition", failures, f"{cell.total} monomials")
 
@@ -320,17 +390,13 @@ def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
 def _prop_split_agreement(cell: _Cell) -> CheckResult:
     failures = []
     for k, m in enumerate(cell.space.monomials):
-        for seg, expected in (
-            (ideal_segment(m), cell.exps[:k]),
-            (quotient_segment(m), cell.exps[k + 1 :]),
-        ):
+        for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
             split = split_once(seg)
-            got = {g.exponents for g in enumerate_summand(split.summand)}
+            gens = cell.summand_tuples(split.summand)
             if split.residual is not None:
-                prefix = split.residual_prefix.exponents
-                for g in enumerate_segment(split.residual):
-                    got.add(tuple(p + e for p, e in zip(prefix, g.exponents)))
-            if got != set(expected):
+                residual = cell.segment_tuples(split.residual)
+                gens += _prefixed(split.residual_prefix.exponents, residual)
+            if not cell.fills(gens, lo, hi):
                 failures.append(f"split mismatch for {seg.kind} at m={m.to_csv()}")
                 break
         if failures:
@@ -411,28 +477,46 @@ def _prop_rank_unrank(cell: _Cell) -> CheckResult:
     return _check(cell.label, "rank_unrank", failures, f"{total} monomials")
 
 
-def _span_set(cell: _Cell, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    return {
-        t[:i] + (t[i] + 1,) + t[i + 1 :] for t in gens for i in range(cell.n)
-    }
-
-
 def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
+    """Each product segment is exactly the brute-force span of its segment.
+
+    An ideal segment's span is the span S_j of the first j monomials, and a
+    quotient segment's is the complement of one.  A product segment on the
+    full window that keeps its kind and inclusiveness, enumerated, is a
+    prefix or a suffix of next_exps, so it agrees exactly when S_j fills
+    that prefix (or the suffix's complement): |S_j| equals the prefix length
+    and S_j's largest position lies below it.  Otherwise both sides are
+    enumerated and compared as sets.
+    """
     failures = []
-    next_all = set(cell.next_pos)
+    sizes, largest = cell.prefix_spans()
+    fast = cell.next_sorted and largest is not None
     for k, m in enumerate(cell.space.monomials):
-        span_excl = _span_set(cell, cell.exps[:k])
-        span_incl = _span_set(cell, cell.exps[: k + 1])
-        cases = (
-            (ideal_segment(m), span_excl),
-            (ideal_segment(m, inclusive=True), span_incl),
-            (quotient_segment(m), next_all - span_incl),
-            (quotient_segment(m, inclusive=True), next_all - span_excl),
-        )
-        for seg, expected in cases:
+        for seg in (
+            ideal_segment(m),
+            ideal_segment(m, inclusive=True),
+            quotient_segment(m),
+            quotient_segment(m, inclusive=True),
+        ):
+            # e = 1 when m itself sits on the prefix side: the inclusive ideal
+            # segment, and the exclusive quotient segment (complement of S_{k+1});
+            # the product's prefix side is then next_exps[:p + e]
+            e = int((seg.kind == IDEAL) == seg.inclusive)
             product = multiply_segment(seg)
-            got = {g.exponents for g in enumerate_segment(product)}
-            if got != expected:
+            p = cell.next_pos.get(product.m.exponents) if fast else None
+            if (
+                p is not None
+                and product.window.lo == 1
+                and product.window.hi == cell.n
+                and product.kind == seg.kind
+                and product.inclusive == seg.inclusive
+            ):
+                agrees = sizes[k + e] == p + e and largest[k + e] < p + e
+            else:
+                span = _span_tuples(cell.space.monomials[: k + e])
+                expected = span if seg.kind == IDEAL else set(cell.next_pos) - span
+                agrees = {g.exponents for g in enumerate_segment(product)} == expected
+            if not agrees:
                 failures.append(
                     f"{seg.kind} inclusive={seg.inclusive} multiplication off at m={m.to_csv()}"
                 )
@@ -466,9 +550,7 @@ def _prop_window_reduction(cell: _Cell) -> CheckResult:
         if reduced.window.lo != m.min_index():
             failures.append(f"window floor wrong at m={m.to_csv()}")
             break
-        before = [g.exponents for g in enumerate_segment(seg)]
-        after = [g.exponents for g in enumerate_segment(reduced)]
-        if before != after:
+        if cell.segment_tuples(seg) != cell.segment_tuples(reduced):
             failures.append(f"window reduction changed generators at m={m.to_csv()}")
             break
     return _check(cell.label, "window_reduction", failures, f"{cell.total} monomials")
@@ -487,7 +569,7 @@ def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
 def _prop_growth_formula_lex(cell: _Cell) -> CheckResult:
     """Sharpness: the growth transforms reproduce lex-segment spans exactly."""
     failures = []
-    sizes = cell.span_of_prefix_sizes()
+    sizes, _ = cell.prefix_spans()
     for k in range(cell.total + 1):
         if cell.n >= 2 and ideal_growth_bound(k, cell.n) != sizes[k]:
             failures.append(f"ideal growth formula != span at segment size {k}")
@@ -502,7 +584,7 @@ def _prop_growth_bound_random(cell: _Cell, rng: random.Random, samples: int) -> 
     failures = []
     for _ in range(samples):
         size = rng.randint(0, cell.total)
-        sample = random_monomial_sample(cell.n, cell.delta, size, rng)
+        sample = _sample_of(cell.space, size, rng)
         grown, complement = hilbert_next(sample)
         if cell.n >= 2 and grown < ideal_growth_bound(size, cell.n):
             failures.append(f"ideal lower bound violated by a {size}-generator sample")

@@ -128,6 +128,13 @@ class TestMacaulayRepConstruction:
         with pytest.raises(InvalidInputError):
             macaulay_rep(5, 0)
 
+    @pytest.mark.parametrize(
+        "s, p", [(2.5, 2), (2.0, 2), (3, 2.0), ("3", 2), (3, None), (True, 2), (3, True), (False, 1)]
+    )
+    def test_non_integer_inputs_rejected(self, s, p):
+        with pytest.raises(InvalidInputError):
+            macaulay_rep(s, p)
+
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=9))
     def test_roundtrip_random(self, s, p):
         rep = macaulay_rep(s, p)

@@ -1,10 +1,12 @@
 """Brute-force enumeration, spans, random samples, and the verification sweep."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import mono
+from lexseg import oracle, segments
 from lexseg import (
     InvalidInputError,
     Monomial,
@@ -30,7 +32,7 @@ from lexseg.oracle import (
     check_macaulay_uniqueness,
     run_verification,
 )
-from lexseg.segments import QUOTIENT
+from lexseg.segments import IDEAL, QUOTIENT, Decomposition, SplitResult, Summand
 
 M68 = mono("a^2*b*d^3*f^2", 6)
 
@@ -173,3 +175,74 @@ class TestVerification:
         lines = report.lines()
         assert lines[0].startswith("cell=(1,1) property=enumeration_order status=ok")
         assert any(line.startswith("cell=global property=macaulay_uniqueness_p8") for line in lines)
+
+
+def _status(prop, n=3, delta=3):
+    (result,) = [r for r in check_cell(n, delta) if r.prop == prop]
+    return result
+
+
+def _multiply_by_last(seg):
+    return replace(seg, m=seg.m.times_var(seg.n))
+
+
+def _multiply_then_include(seg):
+    product = segments.multiply_segment(seg)
+    return product if product.inclusive else replace(product, inclusive=True)
+
+
+def _split_beta_too_small(seg):
+    if seg.kind != IDEAL:
+        return segments.split_once(seg)
+    lo, n = seg.window.lo, seg.n
+    beta = seg.m.exponents[lo - 1]
+    summand = Summand(Monomial.from_factorization([lo] * beta, n), VariableWindow(lo, n), seg.delta - beta)
+    rest = seg.m.coarse_tail(lo) if lo < n else Monomial.unit(n)
+    residual = None if rest.is_unit else SegmentSpec(IDEAL, rest, VariableWindow(lo + 1, n))
+    return SplitResult(summand, Monomial.from_factorization([lo] * max(beta - 1, 0), n), residual)
+
+
+def _decompose_drop_last(seg):
+    d = segments.decompose(seg)
+    return Decomposition(d.kind, d.summands[:-1])
+
+
+def _decompose_repeat_first(seg):
+    d = segments.decompose(seg)
+    return Decomposition(d.kind, d.summands + d.summands[:1])
+
+
+def _reduce_window_keeping_m(seg):
+    return replace(segments.reduce_window(seg), inclusive=True)
+
+
+class TestFaultInjection:
+    """A wrong closed form in the oracle's namespace must fail its property."""
+
+    @pytest.mark.parametrize(
+        "name, fault, prop",
+        [
+            ("multiply_segment", _multiply_by_last, "multiplication_agreement"),
+            ("multiply_segment", _multiply_then_include, "multiplication_agreement"),
+            ("split_once", _split_beta_too_small, "split_agreement"),
+            ("decompose", _decompose_drop_last, "decomposition_partition"),
+            ("decompose", _decompose_repeat_first, "decomposition_partition"),
+            ("reduce_window", _reduce_window_keeping_m, "window_reduction"),
+        ],
+    )
+    def test_fault_is_reported(self, monkeypatch, name, fault, prop):
+        monkeypatch.setattr(oracle, name, fault)
+        result = _status(prop)
+        assert not result.ok, result.as_line()
+
+    def test_equivalent_product_in_another_form_passes(self, monkeypatch):
+        # an exclusive ideal product restated as the inclusive segment of its
+        # predecessor spans the same monomials, so the property must still hold
+        def restated(seg):
+            product = segments.multiply_segment(seg)
+            if product.kind != IDEAL or product.inclusive or product.m.max_index() == 1:
+                return product
+            return replace(product, m=product.m.predecessor(), inclusive=True)
+
+        monkeypatch.setattr(oracle, "multiply_segment", restated)
+        assert _status("multiplication_agreement").ok
