@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import InvalidInputError, InvalidRepError
 
@@ -52,10 +52,17 @@ class MacaulayRep:
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        if any(c < 0 for c in coeffs):
-            raise InvalidRepError(f"negative coefficient in {coeffs}")
-        if any(coeffs[k] <= coeffs[k + 1] for k in range(len(coeffs) - 1)):
-            raise InvalidRepError(f"coefficients {coeffs} are not strictly decreasing")
+        # One pass from the least significant end: each coefficient must be
+        # an int (not a bool) above the one after it, and the last above -1.
+        floor = -1
+        for c in reversed(coeffs):
+            if type(c) is not int:
+                raise InvalidRepError(f"coefficient {c!r} in {coeffs} is not an integer")
+            if c <= floor:
+                if floor < 0:
+                    raise InvalidRepError(f"negative coefficient in {coeffs}")
+                raise InvalidRepError(f"coefficients {coeffs} are not strictly decreasing")
+            floor = c
 
     @property
     def p(self) -> int:
@@ -83,12 +90,28 @@ class MacaulayRep:
         return ",".join(str(c) for c in self.coefficients)
 
 
+# Cap on the multiplicative descent of one term before it falls back to
+# binary search.  A step costs one small-int multiply and one exact divide,
+# while the search costs about log2(c) full binomials, so a short descent is
+# cheaper whenever the numerators are close together, as they are for the
+# dimensions of graded pieces; a huge s with a small p can put the next
+# numerator astronomically far below the previous one.
+_DESCENT_STEPS = 64
+
+
 def macaulay_rep(s: int, p: int) -> MacaulayRep:
     """The unique p-term Macaulay representation of s, found greedily.
 
-    Chooses the largest s_p with C(s_p, p) <= s and recurses on the
-    remainder; the strict decrease of the resulting numerators is
-    automatic.  All arithmetic is exact.
+    Each s_i is the largest c with C(c, i) at most the remainder left by
+    the terms above it.  The top numerator s_p comes from a doubling and
+    binary search.  Every lower s_i lies below s_{i+1}, so it is found by
+    one descending scan (the combinatorial-number-system unranking): start
+    at c = s_{i+1} - 1 with C(c, i) = C(s_{i+1}, i+1) * (i+1) / s_{i+1},
+    and step down with C(c-1, i) = C(c, i) * (c-i) / c until the binomial
+    fits the remainder.  Over all terms the scan takes at most s_p steps.
+    A term whose descent passes a fixed step count is finished by binary
+    search below the current c, so work stays bounded even when s is huge
+    and p small.  All arithmetic is exact.
     """
     if isinstance(s, bool) or isinstance(p, bool) or not isinstance(s, int) or not isinstance(p, int):
         raise InvalidInputError(
@@ -98,20 +121,39 @@ def macaulay_rep(s: int, p: int) -> MacaulayRep:
         raise InvalidInputError("cannot represent a negative integer")
     if p < 1:
         raise InvalidInputError("representation length must be positive")
-    coeffs = []
-    remainder = s
-    for i in range(p, 0, -1):
-        c = _greedy_numerator(remainder, i)
+    c = _greedy_numerator(s, p)
+    b = binom(c, p)
+    remainder = s - b
+    coeffs = [c]
+    for i in range(p - 1, 0, -1):
+        # C(c - 1, i) from C(c, i + 1); c >= i here, since s_{i+1} >= i.
+        b = b * (i + 1) // c
+        c -= 1
+        steps = 0
+        while b > remainder:
+            if steps == _DESCENT_STEPS:
+                c = _greedy_numerator(remainder, i, c)
+                b = binom(c, i)
+                break
+            b = b * (c - i) // c
+            c -= 1
+            steps += 1
         coeffs.append(c)
-        remainder -= binom(c, i)
+        remainder -= b
     return MacaulayRep(tuple(coeffs))
 
 
-def _greedy_numerator(s: int, i: int) -> int:
-    """Largest c with C(c, i) <= s; c = i - 1 always qualifies via the convention."""
-    lo, hi = i - 1, i
-    while binom(hi, i) <= s:
-        lo, hi = hi, hi * 2
+def _greedy_numerator(s: int, i: int, upper: Optional[int] = None) -> int:
+    """Largest c with C(c, i) <= s; c = i - 1 always qualifies via the convention.
+
+    Without a bound the search doubles upward from i first; a given upper
+    bound must have C(upper, i) > s.
+    """
+    lo, hi = i - 1, upper
+    if hi is None:
+        hi = i
+        while binom(hi, i) <= s:
+            lo, hi = hi, hi * 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if binom(mid, i) <= s:

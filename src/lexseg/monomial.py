@@ -57,8 +57,11 @@ class Monomial:
         exps = tuple(self.exponents)
         if not exps:
             raise InvalidInputError("a monomial needs at least one variable")
-        if any(e < 0 for e in exps):
-            raise InvalidInputError(f"negative exponent in {exps}")
+        for e in exps:
+            if type(e) is not int:
+                raise InvalidInputError(f"exponent {e!r} in {exps} is not an integer")
+            if e < 0:
+                raise InvalidInputError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
     @classmethod

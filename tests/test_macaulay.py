@@ -1,9 +1,12 @@
 """Binomials, Macaulay representations, and the growth transforms."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lexseg.macaulay
 from lexseg import (
     InvalidInputError,
     InvalidRepError,
@@ -75,6 +78,13 @@ class TestMacaulayRepType:
         with pytest.raises(InvalidRepError):
             MacaulayRep((3, -1))
 
+    @pytest.mark.parametrize(
+        "coeffs", [(3.5, 1), (3, 1.0), (True, 0), (2, False), ("3", 1), (3, None)]
+    )
+    def test_rejects_non_integer(self, coeffs):
+        with pytest.raises(InvalidRepError):
+            MacaulayRep(coeffs)
+
     def test_empty_rep_evaluates_to_zero(self):
         assert eval_rep(MacaulayRep(())) == 0
 
@@ -134,6 +144,49 @@ class TestMacaulayRepConstruction:
     def test_non_integer_inputs_rejected(self, s, p):
         with pytest.raises(InvalidInputError):
             macaulay_rep(s, p)
+
+    @staticmethod
+    def assert_greedy(s, p):
+        """The value is s, the numerators strictly decrease, and each is greedy-maximal."""
+        coeffs = macaulay_rep(s, p).coefficients
+        assert len(coeffs) == p
+        assert all(coeffs[k] > coeffs[k + 1] for k in range(p - 1))
+        remainder = s
+        for i, c in zip(range(p, 0, -1), coeffs):
+            assert binom(c, i) <= remainder < binom(c + 1, i), (s, p, i, c)
+            remainder -= binom(c, i)
+        assert remainder == 0
+
+    def test_scan_random_graded_ranks(self):
+        # s below the dimension of a graded piece, as rank/unrank use it
+        rng = random.Random(20240)
+        for p, delta in [(800, 800), (800, 50), (50, 800), (200, 200), (3, 400), (1, 10)]:
+            for _ in range(2):
+                self.assert_greedy(rng.randrange(binom(p + delta, delta)), p)
+        for _ in range(25):
+            p, delta = rng.randint(1, 800), rng.randint(1, 800)
+            self.assert_greedy(rng.randrange(binom(p + delta, delta)), p)
+
+    def test_scan_random_far_above_graded_range(self):
+        rng = random.Random(20241)
+        for _ in range(20):
+            p, delta = rng.randint(1, 800), rng.randint(1, 200)
+            s = binom(p + delta, delta) * rng.randrange(2, 10**rng.randint(2, 300))
+            self.assert_greedy(s + rng.randrange(10**6), p)
+
+    @pytest.mark.parametrize("s, p", [(10**100, 3), (10**300, 7)])
+    def test_huge_s_small_p_takes_search_fallback(self, s, p, monkeypatch):
+        bounded = []
+        search = lexseg.macaulay._greedy_numerator
+
+        def recording(s, i, upper=None):
+            if upper is not None:
+                bounded.append(i)
+            return search(s, i, upper)
+
+        monkeypatch.setattr(lexseg.macaulay, "_greedy_numerator", recording)
+        self.assert_greedy(s, p)
+        assert bounded
 
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=9))
     def test_roundtrip_random(self, s, p):

@@ -40,6 +40,13 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Monomial((1, -1))
 
+    @pytest.mark.parametrize(
+        "exps", [(1.5, 0), (2.0, 1), (True, 2), (0, False), ("1", 0), (None,), (1, 2, 3.0)]
+    )
+    def test_rejects_non_integer_exponent(self, exps):
+        with pytest.raises(InvalidInputError):
+            Monomial(exps)
+
     def test_unit(self):
         u = Monomial.unit(4)
         assert u.is_unit and u.degree == 0 and u.n == 4
