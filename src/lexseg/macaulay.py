@@ -90,12 +90,10 @@ class MacaulayRep:
         return ",".join(str(c) for c in self.coefficients)
 
 
-# Cap on the multiplicative descent of one term before it falls back to
-# binary search.  A step costs one small-int multiply and one exact divide,
-# while the search costs about log2(c) full binomials, so a short descent is
-# cheaper whenever the numerators are close together, as they are for the
-# dimensions of graded pieces; a huge s with a small p can put the next
-# numerator astronomically far below the previous one.
+# Steps one term may descend before binary search finishes it.  A step is
+# one small-int multiply and divide, the search about log2(c) binomials; a
+# huge s with a small p can put a numerator astronomically far below the
+# one above it.
 _DESCENT_STEPS = 64
 
 

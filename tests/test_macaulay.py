@@ -179,10 +179,10 @@ class TestMacaulayRepConstruction:
         bounded = []
         search = lexseg.macaulay._greedy_numerator
 
-        def recording(s, i, upper=None):
+        def recording(value, i, upper=None):
             if upper is not None:
                 bounded.append(i)
-            return search(s, i, upper)
+            return search(value, i, upper)
 
         monkeypatch.setattr(lexseg.macaulay, "_greedy_numerator", recording)
         self.assert_greedy(s, p)
