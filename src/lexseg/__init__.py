@@ -36,7 +36,6 @@ from .errors import (
 from .macaulay import (
     MacaulayRep,
     binom,
-    eval_rep,
     ideal_growth_bound,
     macaulay_rep,
     quotient_growth_bound,
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_segment",
     "enumerate_space",
     "enumerate_summand",
-    "eval_rep",
     "hilbert_next",
     "ideal_coefficients",
     "ideal_growth_bound",

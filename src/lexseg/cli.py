@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from . import duality, oracle, segments
 from .errors import LexsegError, MonomialParseError
 from .macaulay import (
-    eval_rep,
     ideal_growth_bound,
     macaulay_rep,
     quotient_growth_bound,

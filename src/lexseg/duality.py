@@ -2,7 +2,8 @@
 
 The (n-1) ideal coefficients and the delta quotient coefficients of a
 degree-delta monomial in n variables come straight from its coarse and
-fine tails.  Together the two coefficient sets always partition
+fine tails, and their Macaulay values are the dimensions of its ideal and
+quotient segments.  Together the two coefficient sets always partition
 {0, 1, ..., n + delta - 2}, which makes m reconstructible from either set
 and yields a bijection between monomials and (n-1)-subsets, alongside a
 rank/unrank pair for the lex-descending enumeration.
@@ -11,22 +12,23 @@ rank/unrank pair for the lex-descending enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InternalConsistencyError, InvalidInputError, UnitMonomialError
-from .macaulay import MacaulayRep, eval_rep, macaulay_rep, space_dimension
+from .macaulay import MacaulayRep, macaulay_rep, space_dimension
 from .monomial import Monomial
 
 
 def ideal_coefficients(m: Monomial) -> MacaulayRep:
     """Macaulay coefficients of the ideal-segment dimension: s_i = i + deg(ct_{n-i}(m)) - 1.
 
-    Independent of the degree of m; n = 1 yields the empty representation.
+    deg(ct_{n-i}(m)) = a_{n-i+1} + ... + a_n is a suffix sum of the exponents,
+    so one scan yields every s_i; n = 1 yields the empty representation.
     """
     if m.is_unit:
         raise UnitMonomialError("coefficients are undefined on the unit monomial")
-    n = m.n
-    coeffs = tuple(i + m.coarse_tail(n - i).degree - 1 for i in range(n - 1, 0, -1))
-    return MacaulayRep(coeffs)
+    tails = accumulate(reversed(m.exponents[1:]))
+    return MacaulayRep(tuple(reversed([i + t - 1 for i, t in enumerate(tails, 1)])))
 
 
 def quotient_coefficients(m: Monomial) -> MacaulayRep:
@@ -60,10 +62,6 @@ class CoefficientSets:
             raise InternalConsistencyError("ideal and quotient coefficients overlap")
         if self.ideal_set | self.quotient_set != universe:
             raise InternalConsistencyError("coefficients do not cover the index range")
-
-    @property
-    def universe(self) -> frozenset[int]:
-        return frozenset(range(self.n + self.delta - 1))
 
 
 def coefficient_sets(m: Monomial) -> CoefficientSets:
@@ -112,14 +110,11 @@ def shift_inheritance_check(m: Monomial) -> ShiftInheritanceReport:
     return ShiftInheritanceReport(m, failures)
 
 
-def reconstruct_from_ideal_set(values, p: int) -> Monomial:
-    """The unique monomial whose ideal coefficient set equals the given set.
-
-    p fixes the universe {0, ..., p}; it cannot be inferred from the set
-    because all x_1-multiples of m share its ideal coefficients.  The
-    variable count is |set| + 1 and the degree is p - |set| + 1.
-    """
+def _coefficient_set(values, p: int) -> list[int]:
+    """The entries of a nonempty coefficient subset of {0, ..., p}, sorted ascending."""
     vals = list(values)
+    if any(type(v) is not int for v in (p, *vals)):
+        raise InvalidInputError(f"coefficients {vals} and p={p!r} must be integers")
     coeffs = sorted(set(vals))
     if len(coeffs) != len(vals):
         raise InvalidInputError("coefficient set contains duplicates")
@@ -129,6 +124,17 @@ def reconstruct_from_ideal_set(values, p: int) -> Monomial:
         raise InvalidInputError(f"coefficients {coeffs} outside 0..{p}")
     if len(coeffs) > p:
         raise InvalidInputError("coefficient set too large for the universe")
+    return coeffs
+
+
+def reconstruct_from_ideal_set(values, p: int) -> Monomial:
+    """The unique monomial whose ideal coefficient set equals the given set.
+
+    p fixes the universe {0, ..., p}; it cannot be inferred from the set
+    because all x_1-multiples of m share its ideal coefficients.  The
+    variable count is |set| + 1 and the degree is p - |set| + 1.
+    """
+    coeffs = _coefficient_set(values, p)
     n = len(coeffs) + 1
     exps = [0] * n
     exps[0] = p - coeffs[-1]
@@ -144,16 +150,7 @@ def reconstruct_from_quotient_set(values, p: int) -> Monomial:
     The degree is |set|, the variable count p - |set| + 2, and the i-th
     factor index is j_i = n - t_{delta-i+1} + delta - i.
     """
-    vals = list(values)
-    coeffs = sorted(set(vals))
-    if len(coeffs) != len(vals):
-        raise InvalidInputError("coefficient set contains duplicates")
-    if not coeffs:
-        raise InvalidInputError("cannot reconstruct from an empty coefficient set")
-    if coeffs[0] < 0 or coeffs[-1] > p:
-        raise InvalidInputError(f"coefficients {coeffs} outside 0..{p}")
-    if len(coeffs) > p:
-        raise InvalidInputError("coefficient set too large for the universe")
+    coeffs = _coefficient_set(values, p)
     delta = len(coeffs)
     n = p - delta + 2
     factors = [n - coeffs[delta - i] + delta - i for i in range(1, delta + 1)]
@@ -164,11 +161,13 @@ def rank(m: Monomial) -> int:
     """1-based position of m in the lex-descending order of its graded piece."""
     if m.is_unit:
         raise UnitMonomialError("rank is undefined on the unit monomial")
-    return 1 + eval_rep(ideal_coefficients(m))
+    return 1 + ideal_coefficients(m).value()
 
 
 def unrank(q: int, n: int, delta: int) -> Monomial:
     """The q-th monomial (lex-largest first) among the degree-delta monomials in n variables."""
+    if any(type(v) is not int for v in (q, n, delta)):
+        raise InvalidInputError(f"q={q!r}, n={n!r} and delta={delta!r} must be integers")
     if n < 1 or delta < 1:
         raise InvalidInputError("need n >= 1 and delta >= 1")
     total = space_dimension(n, delta)

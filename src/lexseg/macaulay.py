@@ -161,11 +161,6 @@ def _greedy_numerator(s: int, i: int, upper: Optional[int] = None) -> int:
     return lo
 
 
-def eval_rep(rep: MacaulayRep) -> int:
-    """Evaluate sum of C(s_i, i) over the representation."""
-    return rep.value()
-
-
 def quotient_growth_bound(s: int, delta: int) -> int:
     """Upper bound on the next quotient dimension, sharp on terminal lex segments.
 

@@ -28,7 +28,6 @@ from . import duality, segments
 from .errors import InvalidInputError, NoPredecessorError, ResourceLimitError
 from .macaulay import (
     binom,
-    eval_rep,
     ideal_growth_bound,
     macaulay_rep,
     quotient_growth_bound,
@@ -407,10 +406,10 @@ def _prop_split_agreement(cell: _Cell) -> CheckResult:
 def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
     failures = []
     for k, m in enumerate(cell.space.monomials):
-        if eval_rep(duality.ideal_coefficients(m)) != k:
+        if duality.ideal_coefficients(m).value() != k:
             failures.append(f"ideal coefficients wrong at m={m.to_csv()}")
             break
-        if eval_rep(duality.quotient_coefficients(m)) != cell.total - k - 1:
+        if duality.quotient_coefficients(m).value() != cell.total - k - 1:
             failures.append(f"quotient coefficients wrong at m={m.to_csv()}")
             break
     return _check(cell.label, "coefficient_dimensions", failures, f"{cell.total} monomials")
@@ -467,7 +466,7 @@ def _prop_rank_unrank(cell: _Cell) -> CheckResult:
     total = cell.total
     for k, m in enumerate(cell.space.monomials):
         q = duality.rank(m)
-        q_from_quotient = total - eval_rep(duality.quotient_coefficients(m))
+        q_from_quotient = total - duality.quotient_coefficients(m).value()
         if q != k + 1 or q_from_quotient != q:
             failures.append(f"rank mismatch at m={m.to_csv()}")
             break
@@ -711,7 +710,7 @@ def check_golden_values() -> list[CheckResult]:
     if duality.reconstruct_from_quotient_set({5, 4, 2, 0}, 6) != _GOLDEN_M44:
         failures.append("quotient-set reconstruction mismatch")
     quot44 = [g.exponents for g in enumerate_segment(quotient_segment(_GOLDEN_M44))]
-    if len(quot44) != 10 or eval_rep(duality.quotient_coefficients(_GOLDEN_M44)) != 10:
+    if len(quot44) != 10 or duality.quotient_coefficients(_GOLDEN_M44).value() != 10:
         failures.append("quotient segment of the (4,4) monomial is not 10-dimensional")
     results.append(_check("(4,4)", "golden_duality", failures, "sets, reconstruction, dimension"))
 

@@ -3,7 +3,9 @@
 The ideal segment of m spans the degree-delta monomials strictly lex-larger
 than m; the quotient segment spans those strictly lex-smaller.  Both split
 into direct sums of shifted monomial spaces, which turns dimension counting
-into sums of binomials.  Segments are held intensionally (defining monomial,
+into sums of binomials.  The dimension is read off the Macaulay coefficient
+tuple (see `duality`) of m restricted to the window; `decompose` builds the
+summand table itself.  Segments are held intensionally (defining monomial,
 window, kind); only the oracle module ever materializes generator lists.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from . import duality
 from .errors import InvalidInputError
 from .macaulay import space_dimension
 from .monomial import Monomial, VariableWindow
@@ -199,10 +202,16 @@ def decompose(seg: SegmentSpec) -> Decomposition:
 
 
 def segment_dimension(seg: SegmentSpec) -> int:
-    """Exact dimension; an inclusive segment counts one more than its exclusive twin."""
+    """Exact dimension; an inclusive segment counts one more than its exclusive twin.
+
+    The exclusive one is the Macaulay value of the coefficients of m on [lo, n].
+    """
     if seg.inclusive:
         return segment_dimension(replace(seg, inclusive=False)) + 1
-    return decompose(seg).dimension()
+    restricted = Monomial(seg.m.exponents[seg.window.lo - 1:])
+    if seg.kind == IDEAL:
+        return duality.ideal_coefficients(restricted).value()
+    return duality.quotient_coefficients(restricted).value()
 
 
 def multiply_segment(seg: SegmentSpec) -> SegmentSpec:

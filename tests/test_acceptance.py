@@ -15,7 +15,6 @@ from lexseg import (
     binom,
     coefficient_sets,
     decompose,
-    eval_rep,
     ideal_coefficients,
     ideal_segment,
     macaulay_rep,
@@ -81,7 +80,7 @@ def test_criterion_1_golden_dimensions():
 
 def test_criterion_2_golden_macaulay_rep():
     rep = macaulay_rep(114, 6)
-    ok = rep.coefficients == (9, 7, 5, 4, 1, 0) and eval_rep(rep) == 114
+    ok = rep.coefficients == (9, 7, 5, 4, 1, 0) and rep.value() == 114
     _report(2, "golden Macaulay representation", ok)
 
 

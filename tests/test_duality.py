@@ -13,7 +13,6 @@ from lexseg import (
     UnitMonomialError,
     binom,
     coefficient_sets,
-    eval_rep,
     ideal_coefficients,
     ideal_segment,
     quotient_coefficients,
@@ -49,11 +48,11 @@ class TestIdealCoefficients:
             m = Monomial((degree,) + (0,) * (n - 1))
             rep = ideal_coefficients(m)
             assert rep.coefficients == tuple(range(n - 2, -1, -1))
-            assert eval_rep(rep) == 0
+            assert rep.value() == 0
 
     def test_single_variable_gives_empty_rep(self):
         rep = ideal_coefficients(Monomial((4,)))
-        assert rep.coefficients == () and eval_rep(rep) == 0
+        assert rep.coefficients == () and rep.value() == 0
 
     def test_unit_rejected(self):
         with pytest.raises(UnitMonomialError):
@@ -72,7 +71,7 @@ class TestQuotientCoefficients:
             m = Monomial((0,) * (n - 1) + (degree,))
             rep = quotient_coefficients(m)
             assert rep.coefficients == tuple(range(degree - 1, -1, -1))
-            assert eval_rep(rep) == 0
+            assert rep.value() == 0
 
     def test_unit_rejected(self):
         with pytest.raises(UnitMonomialError):
@@ -163,6 +162,20 @@ class TestReconstruction:
         with pytest.raises(InvalidInputError):
             reconstruct_from_quotient_set([2, 2, 1], 4)
 
+    @pytest.mark.parametrize(
+        "reconstruct, values, p",
+        [
+            (reconstruct_from_quotient_set, [2.0], 3),
+            (reconstruct_from_quotient_set, [True], 2),
+            (reconstruct_from_ideal_set, [1], True),
+            (reconstruct_from_ideal_set, ["1"], 3),
+            (reconstruct_from_quotient_set, [1], 2.0),
+        ],
+    )
+    def test_rejects_non_integer_entries_and_p(self, reconstruct, values, p):
+        with pytest.raises(InvalidInputError):
+            reconstruct(values, p)
+
     def test_roundtrip_exhaustive_small(self):
         for n, degree in [(3, 3), (4, 2), (2, 5)]:
             p = n + degree - 2
@@ -196,7 +209,7 @@ class TestRank:
             for k, m in enumerate(graded_piece(n, degree)):
                 q = rank(m)
                 assert q == k + 1
-                assert q == total - eval_rep(quotient_coefficients(m))
+                assert q == total - quotient_coefficients(m).value()
 
     def test_rank_is_one_plus_segment_dimension(self):
         for m in (M68, M44, mono("0,3,0")):
@@ -219,6 +232,13 @@ class TestUnrank:
             unrank(7, 3, 2)
         with pytest.raises(InvalidInputError):
             unrank(1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "q, n, delta", [(1, 2.0, 2), (True, 2, 2), (1, 2, True), (1, 2, 2.0)]
+    )
+    def test_non_integer_inputs_rejected(self, q, n, delta):
+        with pytest.raises(InvalidInputError):
+            unrank(q, n, delta)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=7),
            st.data())

@@ -12,7 +12,6 @@ from lexseg import (
     InvalidRepError,
     MacaulayRep,
     binom,
-    eval_rep,
     ideal_growth_bound,
     macaulay_rep,
     quotient_growth_bound,
@@ -86,7 +85,7 @@ class TestMacaulayRepType:
             MacaulayRep(coeffs)
 
     def test_empty_rep_evaluates_to_zero(self):
-        assert eval_rep(MacaulayRep(())) == 0
+        assert MacaulayRep(()).value() == 0
 
 
 class TestMacaulayRepConstruction:
@@ -104,13 +103,13 @@ class TestMacaulayRepConstruction:
             assert macaulay_rep(0, p).coefficients == tuple(range(p - 1, -1, -1))
 
     def test_eval_inverts(self):
-        assert eval_rep(macaulay_rep(114, 6)) == 114
-        assert eval_rep(MacaulayRep((12, 11, 9, 6, 5, 4, 1, 0))) == 924
+        assert macaulay_rep(114, 6).value() == 114
+        assert MacaulayRep((12, 11, 9, 6, 5, 4, 1, 0)).value() == 924
 
     def test_roundtrip_exhaustive_small(self):
         for p in range(1, 6):
             for s in range(0, 600):
-                assert eval_rep(macaulay_rep(s, p)) == s
+                assert macaulay_rep(s, p).value() == s
 
     def test_monotone_in_s(self):
         for p in (2, 4):
@@ -191,7 +190,7 @@ class TestMacaulayRepConstruction:
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=9))
     def test_roundtrip_random(self, s, p):
         rep = macaulay_rep(s, p)
-        assert eval_rep(rep) == s
+        assert rep.value() == s
         coeffs = rep.coefficients
         assert all(coeffs[k] > coeffs[k + 1] for k in range(len(coeffs) - 1))
 

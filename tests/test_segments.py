@@ -15,6 +15,7 @@ from lexseg import (
     SegmentSpec,
     VariableWindow,
     decompose,
+    enumerate_segment,
     ideal_segment,
     multiply_decomposition,
     multiply_segment,
@@ -205,6 +206,26 @@ class TestSegmentDimension:
         # 84 + 6 + 5 + 4 from the windowed summand table
         seg = SegmentSpec(QUOTIENT, mono("0,1,0,3,0,2"), VariableWindow(2, 6))
         assert segment_dimension(seg) == 99
+
+    def test_windowed_dimensions_match_enumeration(self):
+        # Every window [lo, n] that holds m's support, both kinds, both flags.
+        cases = 0
+        for n in range(1, 6):
+            for degree in range(1, 6):
+                for t in itertools.product(range(degree + 1), repeat=n):
+                    if sum(t) != degree:
+                        continue
+                    m = Monomial(t)
+                    for lo, kind, inclusive in itertools.product(
+                        range(1, m.min_index() + 1), (IDEAL, QUOTIENT), (False, True)
+                    ):
+                        seg = SegmentSpec(kind, m, VariableWindow(lo, n), inclusive)
+                        dim = segment_dimension(seg)
+                        assert dim == len(enumerate_segment(seg)), seg
+                        if not inclusive:
+                            assert dim == decompose(seg).dimension(), seg
+                        cases += 1
+        assert cases == 3084
 
     def test_partition_of_the_graded_piece(self):
         for m in (M68, M44, mono("1,1"), mono("0,3,0")):
