@@ -16,6 +16,18 @@ an exponent missing from the list), the check falls back to enumerating
 both sides in full.  Positions come from enumeration alone, never from rank
 or dimension formulas: the oracle exists to check those formulas, so it
 must not trust them.
+
+A decomposition summand (prefix times a window space) and a split's
+prefixed residual listing each fill one contiguous block of the list.  Each
+distinct summand, and each distinct prefixed listing, is enumerated once per
+cell, and its block is read off the positions of its generators; per
+monomial, the blocks of a segment's pieces must then tile the segment's
+slice exactly, an O(n + delta) interval check.  A split's residual segment
+is a prefix (ideal) or a suffix (quotient) of its listing, cut at the
+residual monomial's index in the enumerated window list.  The premise is
+that the enumerated list strictly descends and that every block's
+generators sit at consecutive positions in order; where it fails, that
+monomial's pieces are enumerated and their positions compared in full.
 """
 
 from __future__ import annotations
@@ -37,7 +49,9 @@ from .monomial import Monomial
 from .segments import (
     IDEAL,
     QUOTIENT,
+    Decomposition,
     SegmentSpec,
+    SplitResult,
     decompose,
     ideal_segment,
     multiply_decomposition,
@@ -217,7 +231,8 @@ class _Cell:
 
     Segments are checked as slices of the cell's own enumerated lists:
     `pos` and `next_pos` give each exponent tuple its lex position, and
-    window enumerations are memoized as raw tuples for the cell's lifetime.
+    window enumerations, decompositions and the position blocks of
+    summands and prefixed listings are memoized for the cell's lifetime.
     """
 
     def __init__(self, n: int, delta: int, cap: int):
@@ -236,8 +251,13 @@ class _Cell:
         self.next_sorted = self.total_next == space_dimension(n, delta + 1) and all(
             a > b for a, b in zip(self.next_exps, self.next_exps[1:])
         )
+        # premise of the block checks: positions are a bijection in lex order
+        self.sorted = all(a > b for a, b in zip(self.exps, self.exps[1:]))
         self._windows: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
         self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
+        self._decompositions: dict[int, tuple[Decomposition, Decomposition]] = {}
+        self._blocks: dict[tuple, Optional[tuple[int, int]]] = {}
+        self._listings: dict[tuple, Optional[tuple[int, int, dict[tuple[int, ...], int]]]] = {}
 
     def prefix_spans(self) -> tuple[list[int], Optional[list[int]]]:
         """Size and largest next-degree position of span(S_1 * first j monomials), j = 0..total.
@@ -282,6 +302,62 @@ class _Cell:
         tails = self.window_tuples(summand.prefix.n, window.lo, window.hi, summand.degree)
         return _prefixed(summand.prefix.exponents, tails)
 
+    def decompositions(self, k: int) -> tuple[Decomposition, Decomposition]:
+        """decompose() of the k-th monomial's exclusive ideal and quotient segments."""
+        if k not in self._decompositions:
+            m = self.space.monomials[k]
+            self._decompositions[k] = (decompose(ideal_segment(m)), decompose(quotient_segment(m)))
+        return self._decompositions[k]
+
+    def _block(self, gens: list[tuple[int, ...]]) -> Optional[tuple[int, int]]:
+        """The block [start, end) that gens fill at consecutive positions in order, else None."""
+        if not gens:
+            return (0, 0)
+        start = self.pos.get(gens[0])
+        if start is None or list(map(self.pos.get, gens)) != list(range(start, start + len(gens))):
+            return None
+        return start, start + len(gens)
+
+    def summand_blocks(
+        self, summands: Iterable[segments.Summand]
+    ) -> Optional[list[tuple[int, int]]]:
+        """Each summand's position block, or None where the block premise fails."""
+        if not self.sorted:
+            return None
+        blocks = []
+        for s in summands:
+            key = (s.prefix.exponents, s.window.lo, s.window.hi, s.degree)
+            if key not in self._blocks:
+                self._blocks[key] = self._block(self.summand_tuples(s))
+            if self._blocks[key] is None:
+                return None
+            blocks.append(self._blocks[key])
+        return blocks
+
+    def split_blocks(self, split: SplitResult) -> Optional[list[tuple[int, int]]]:
+        """Blocks of a split's summand and prefixed residual, or None where the premise fails."""
+        blocks = self.summand_blocks([split.summand])
+        res = split.residual
+        if blocks is None or res is None:
+            return blocks
+        key = (split.residual_prefix.exponents, res.n, res.window.lo, res.window.hi, res.delta)
+        if key not in self._listings:
+            window = self.window_tuples(*key[1:])
+            block = self._block(_prefixed(key[0], window))
+            index = {t: j for j, t in enumerate(window)}
+            self._listings[key] = None if block is None else (*block, index)
+        listing = self._listings[key]
+        j = listing[2].get(res.m.exponents) if listing else None
+        if j is None:
+            return None
+        start, end, _ = listing
+        # the residual keeps the window tuples above (ideal) or below (quotient) its monomial
+        if res.kind == IDEAL:
+            blocks.append((start, start + j + res.inclusive))
+        else:
+            blocks.append((start + j + 1 - res.inclusive, end))
+        return blocks
+
     def fills(self, gens: list[tuple[int, ...]], lo: int, hi: int) -> bool:
         """True when gens are distinct and are exactly the enumerated monomials at lo..hi-1."""
         if len(self.pos) != self.total:  # positions are not a bijection: compare sets
@@ -290,6 +366,21 @@ class _Cell:
         if len(found) != len(gens) or len(gens) != hi - lo or None in found:
             return False
         return not found or (min(found) >= lo and max(found) < hi)
+
+
+def _tiles(blocks: Sequence[Optional[tuple[int, int]]], lo: int, hi: int) -> bool:
+    """True when the blocks [start, end), in any order, cover lo..hi-1 exactly once.
+
+    Empty blocks (start == end) are ignored; a None block never tiles.
+    """
+    if None in blocks:
+        return False
+    edge = lo
+    for start, end in sorted(b for b in blocks if b[0] != b[1]):
+        if start != edge or end < start:
+            return False
+        edge = end
+    return edge == hi
 
 
 def _check(cell_label: str, prop: str, failures: list[str], checked: str) -> CheckResult:
@@ -374,12 +465,18 @@ def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
 
 
 def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
+    """The summands of each segment's decomposition partition its slice."""
     failures = []
     for k, m in enumerate(cell.space.monomials):
-        for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
-            gens = [g for s in decompose(seg).summands for g in cell.summand_tuples(s)]
-            if not cell.fills(gens, lo, hi):
-                failures.append(f"{seg.kind} partition broken at m={m.to_csv()}")
+        for deco, lo, hi in zip(cell.decompositions(k), (0, k + 1), (k, cell.total)):
+            blocks = cell.summand_blocks(deco.summands)
+            if blocks is not None:
+                agrees = _tiles(blocks, lo, hi)
+            else:
+                gens = [g for s in deco.summands for g in cell.summand_tuples(s)]
+                agrees = cell.fills(gens, lo, hi)
+            if not agrees:
+                failures.append(f"{deco.kind} partition broken at m={m.to_csv()}")
                 break
         if failures:
             break
@@ -387,15 +484,21 @@ def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
 
 
 def _prop_split_agreement(cell: _Cell) -> CheckResult:
+    """A one-step split's summand and prefixed residual partition the segment's slice."""
     failures = []
     for k, m in enumerate(cell.space.monomials):
         for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
             split = split_once(seg)
-            gens = cell.summand_tuples(split.summand)
-            if split.residual is not None:
-                residual = cell.segment_tuples(split.residual)
-                gens += _prefixed(split.residual_prefix.exponents, residual)
-            if not cell.fills(gens, lo, hi):
+            blocks = cell.split_blocks(split)
+            if blocks is not None:
+                agrees = _tiles(blocks, lo, hi)
+            else:
+                gens = cell.summand_tuples(split.summand)
+                if split.residual is not None:
+                    residual = cell.segment_tuples(split.residual)
+                    gens += _prefixed(split.residual_prefix.exponents, residual)
+                agrees = cell.fills(gens, lo, hi)
+            if not agrees:
                 failures.append(f"split mismatch for {seg.kind} at m={m.to_csv()}")
                 break
         if failures:
@@ -527,9 +630,9 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
 
 def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
     failures = []
-    for m in cell.space.monomials:
-        for seg in (ideal_segment(m), quotient_segment(m)):
-            got = multiply_decomposition(decompose(seg)).dimension()
+    for k, m in enumerate(cell.space.monomials):
+        for seg, deco in zip((ideal_segment(m), quotient_segment(m)), cell.decompositions(k)):
+            got = multiply_decomposition(deco).dimension()
             want = segment_dimension(multiply_segment(seg))
             if got != want:
                 failures.append(
@@ -602,21 +705,18 @@ def _prop_growth_bound_random(cell: _Cell, rng: random.Random, samples: int) -> 
 def _all_reps_up_to(p: int, budget: int) -> dict[int, list[tuple[int, ...]]]:
     """Every strictly decreasing p-tuple evaluating to at most the budget, by value."""
     out: dict[int, list[tuple[int, ...]]] = {}
-    acc: list[int] = []
-
-    def rec(i: int, prev: int, value: int) -> None:
+    # (terms left, bound on the next coefficient, value so far, coefficients so far)
+    stack: list[tuple[int, int, int, tuple[int, ...]]] = [(p, budget + p + 2, 0, ())]
+    while stack:
+        i, prev, value, acc = stack.pop()
         if i == 0:
-            out.setdefault(value, []).append(tuple(acc))
-            return
+            out.setdefault(value, []).append(acc)
+            continue
         for c in range(i - 1, prev):
             term = binom(c, i)
             if value + term > budget:
                 break
-            acc.append(c)
-            rec(i - 1, c, value + term)
-            acc.pop()
-
-    rec(p, budget + p + 2, 0)
+            stack.append((i - 1, c, value + term, acc + (c,)))
     return out
 
 

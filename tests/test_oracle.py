@@ -1,5 +1,6 @@
 """Brute-force enumeration, spans, random samples, and the verification sweep."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -212,28 +213,95 @@ def _decompose_repeat_first(seg):
     return Decomposition(d.kind, d.summands + d.summands[:1])
 
 
+def _decompose_shift_shared_window(seg):
+    # the quotient summand M_[2,n]^delta opens the decomposition of every m
+    # divisible by x_1; moving its window up by one breaks all of them at once
+    d = segments.decompose(seg)
+    shared = Summand(Monomial.unit(seg.n), VariableWindow(2, seg.n), seg.delta)
+    moved = replace(shared, window=VariableWindow(3, seg.n))
+    return Decomposition(d.kind, tuple(moved if s == shared else s for s in d.summands))
+
+
+def _decompose_restated_off_blocks(seg):
+    # P * M_[lo,n]^d restated as P * M_[lo,n-1]^d (+) P * x_n * M_[lo,n]^(d-1):
+    # the same generators, but the first piece is no block of the lex list
+    d = segments.decompose(seg)
+    pieces = []
+    for s in d.summands:
+        if s.degree < 1 or s.window.size < 3:
+            pieces.append(s)
+            continue
+        pieces.append(replace(s, window=VariableWindow(s.window.lo, seg.n - 1)))
+        pieces.append(Summand(s.prefix.times_var(seg.n), s.window, s.degree - 1))
+    return Decomposition(d.kind, tuple(pieces))
+
+
+def _split_residual_inclusive(seg, kinds=(IDEAL, QUOTIENT)):
+    split = segments.split_once(seg)
+    if split.residual is None or seg.kind not in kinds:
+        return split
+    return replace(split, residual=replace(split.residual, inclusive=True))
+
+
+def _split_ideal_residual_inclusive(seg):
+    return _split_residual_inclusive(seg, kinds=(IDEAL,))
+
+
 def _reduce_window_keeping_m(seg):
     return replace(segments.reduce_window(seg), inclusive=True)
+
+
+FAULTS = [
+    ("multiply_segment", _multiply_by_last, "multiplication_agreement"),
+    ("multiply_segment", _multiply_then_include, "multiplication_agreement"),
+    ("split_once", _split_beta_too_small, "split_agreement"),
+    ("decompose", _decompose_drop_last, "decomposition_partition"),
+    ("decompose", _decompose_repeat_first, "decomposition_partition"),
+    ("reduce_window", _reduce_window_keeping_m, "window_reduction"),
+    ("decompose", _decompose_shift_shared_window, "decomposition_partition"),
+    ("split_once", _split_residual_inclusive, "split_agreement"),
+    ("split_once", _split_ideal_residual_inclusive, "split_agreement"),
+    ("decompose", _decompose_drop_last, "multiply_decomposition_dims"),
+]
 
 
 class TestFaultInjection:
     """A wrong closed form in the oracle's namespace must fail its property."""
 
-    @pytest.mark.parametrize(
-        "name, fault, prop",
-        [
-            ("multiply_segment", _multiply_by_last, "multiplication_agreement"),
-            ("multiply_segment", _multiply_then_include, "multiplication_agreement"),
-            ("split_once", _split_beta_too_small, "split_agreement"),
-            ("decompose", _decompose_drop_last, "decomposition_partition"),
-            ("decompose", _decompose_repeat_first, "decomposition_partition"),
-            ("reduce_window", _reduce_window_keeping_m, "window_reduction"),
-        ],
-    )
+    @pytest.mark.parametrize("name, fault, prop", FAULTS)
     def test_fault_is_reported(self, monkeypatch, name, fault, prop):
         monkeypatch.setattr(oracle, name, fault)
         result = _status(prop)
         assert not result.ok, result.as_line()
+
+    @pytest.mark.parametrize(
+        "name, fault, prop",
+        [f for f in FAULTS if f[2] in ("decomposition_partition", "split_agreement")],
+    )
+    def test_fault_is_reported_without_blocks(self, monkeypatch, name, fault, prop):
+        # every block premise failing sends each monomial down the full comparison
+        monkeypatch.setattr(oracle._Cell, "_block", lambda self, gens: None)
+        monkeypatch.setattr(oracle, name, fault)
+        result = _status(prop)
+        assert not result.ok, result.as_line()
+
+    def test_correct_forms_pass_without_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle._Cell, "_block", lambda self, gens: None)
+        assert _status("decomposition_partition").ok
+        assert _status("split_agreement").ok
+
+    def test_equivalent_decomposition_off_blocks_passes(self, monkeypatch):
+        fallbacks = []
+        original = oracle._Cell.fills
+
+        def counting_fills(self, gens, lo, hi):
+            fallbacks.append((lo, hi))
+            return original(self, gens, lo, hi)
+
+        monkeypatch.setattr(oracle._Cell, "fills", counting_fills)
+        monkeypatch.setattr(oracle, "decompose", _decompose_restated_off_blocks)
+        assert _status("decomposition_partition").ok
+        assert fallbacks, "no monomial took the full-comparison fallback"
 
     def test_equivalent_product_in_another_form_passes(self, monkeypatch):
         # an exclusive ideal product restated as the inclusive segment of its
@@ -246,3 +314,39 @@ class TestFaultInjection:
 
         monkeypatch.setattr(oracle, "multiply_segment", restated)
         assert _status("multiplication_agreement").ok
+
+
+class TestTiles:
+    def test_exact_tiling_in_any_order(self):
+        assert oracle._tiles([(3, 7), (0, 3), (7, 9)], 0, 9)
+
+    def test_empty_blocks_are_ignored(self):
+        assert oracle._tiles([(0, 0), (2, 5), (4, 4), (5, 5)], 2, 5)
+        assert oracle._tiles([(0, 0)], 4, 4)
+        assert oracle._tiles([], 4, 4)
+
+    def test_gap_rejected(self):
+        assert not oracle._tiles([(0, 3), (4, 9)], 0, 9)
+
+    def test_overlap_rejected(self):
+        assert not oracle._tiles([(0, 4), (3, 9)], 0, 9)
+        assert not oracle._tiles([(0, 9), (0, 9)], 0, 9)
+
+    def test_none_block_rejected(self):
+        assert not oracle._tiles([(0, 9), None], 0, 9)
+
+    def test_ends_must_match(self):
+        assert not oracle._tiles([(1, 9)], 0, 9)
+        assert not oracle._tiles([(0, 8)], 0, 9)
+        assert not oracle._tiles([(0, 10)], 0, 9)
+        assert not oracle._tiles([], 0, 9)
+
+
+def test_all_reps_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        oracle._all_reps_up_to(3, 200)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
