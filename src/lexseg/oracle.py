@@ -19,15 +19,14 @@ must not trust them.
 
 A decomposition summand (prefix times a window space) and a split's
 prefixed residual listing each fill one contiguous block of the list.  Each
-distinct summand, and each distinct prefixed listing, is enumerated once per
-cell, and its block is read off the positions of its generators; per
-monomial, the blocks of a segment's pieces must then tile the segment's
-slice exactly, an O(n + delta) interval check.  A split's residual segment
-is a prefix (ideal) or a suffix (quotient) of its listing, cut at the
-residual monomial's index in the enumerated window list.  The premise is
-that the enumerated list strictly descends and that every block's
-generators sit at consecutive positions in order; where it fails, that
-monomial's pieces are enumerated and their positions compared in full.
+distinct summand is enumerated once per cell, and its block is read off the
+positions of its generators; per monomial, the blocks of a segment's pieces
+must then tile the segment's slice exactly, an O(n + delta) interval check.
+A split's residual segment is a prefix (ideal) or a suffix (quotient) of
+its prefixed listing, cut at the residual monomial's position.  This is a
+contract on the closed forms: a summand whose generators do not sit at
+consecutive positions in lex order is reported as a failure, even where a
+union of such pieces would still cover the slice.
 """
 
 from __future__ import annotations
@@ -251,13 +250,10 @@ class _Cell:
         self.next_sorted = self.total_next == space_dimension(n, delta + 1) and all(
             a > b for a, b in zip(self.next_exps, self.next_exps[1:])
         )
-        # premise of the block checks: positions are a bijection in lex order
-        self.sorted = all(a > b for a, b in zip(self.exps, self.exps[1:]))
         self._windows: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
         self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
         self._decompositions: dict[int, tuple[Decomposition, Decomposition]] = {}
         self._blocks: dict[tuple, Optional[tuple[int, int]]] = {}
-        self._listings: dict[tuple, Optional[tuple[int, int, dict[tuple[int, ...], int]]]] = {}
 
     def prefix_spans(self) -> tuple[list[int], Optional[list[int]]]:
         """Size and largest next-degree position of span(S_1 * first j monomials), j = 0..total.
@@ -321,9 +317,7 @@ class _Cell:
     def summand_blocks(
         self, summands: Iterable[segments.Summand]
     ) -> Optional[list[tuple[int, int]]]:
-        """Each summand's position block, or None where the block premise fails."""
-        if not self.sorted:
-            return None
+        """Each summand's position block, or None when some summand fills no block."""
         blocks = []
         for s in summands:
             key = (s.prefix.exponents, s.window.lo, s.window.hi, s.degree)
@@ -335,45 +329,32 @@ class _Cell:
         return blocks
 
     def split_blocks(self, split: SplitResult) -> Optional[list[tuple[int, int]]]:
-        """Blocks of a split's summand and prefixed residual, or None where the premise fails."""
-        blocks = self.summand_blocks([split.summand])
+        """Blocks of a split's summand and prefixed residual, or None when one fills no block."""
         res = split.residual
+        pieces = [split.summand]
+        if res is not None:
+            pieces.append(segments.Summand(split.residual_prefix, res.window, res.delta))
+        blocks = self.summand_blocks(pieces)
         if blocks is None or res is None:
             return blocks
-        key = (split.residual_prefix.exponents, res.n, res.window.lo, res.window.hi, res.delta)
-        if key not in self._listings:
-            window = self.window_tuples(*key[1:])
-            block = self._block(_prefixed(key[0], window))
-            index = {t: j for j, t in enumerate(window)}
-            self._listings[key] = None if block is None else (*block, index)
-        listing = self._listings[key]
-        j = listing[2].get(res.m.exponents) if listing else None
-        if j is None:
+        start, end = blocks.pop()
+        p = self.pos.get(_prefixed(split.residual_prefix.exponents, [res.m.exponents])[0])
+        if p is None or not start <= p < end:
             return None
-        start, end, _ = listing
-        # the residual keeps the window tuples above (ideal) or below (quotient) its monomial
+        # the residual keeps the listing above (ideal) or below (quotient) its monomial
         if res.kind == IDEAL:
-            blocks.append((start, start + j + res.inclusive))
+            blocks.append((start, p + res.inclusive))
         else:
-            blocks.append((start + j + 1 - res.inclusive, end))
+            blocks.append((p + 1 - res.inclusive, end))
         return blocks
 
-    def fills(self, gens: list[tuple[int, ...]], lo: int, hi: int) -> bool:
-        """True when gens are distinct and are exactly the enumerated monomials at lo..hi-1."""
-        if len(self.pos) != self.total:  # positions are not a bijection: compare sets
-            return len(set(gens)) == len(gens) and set(gens) == set(self.exps[lo:hi])
-        found = set(map(self.pos.get, gens))
-        if len(found) != len(gens) or len(gens) != hi - lo or None in found:
-            return False
-        return not found or (min(found) >= lo and max(found) < hi)
 
-
-def _tiles(blocks: Sequence[Optional[tuple[int, int]]], lo: int, hi: int) -> bool:
+def _tiles(blocks: Optional[Sequence[tuple[int, int]]], lo: int, hi: int) -> bool:
     """True when the blocks [start, end), in any order, cover lo..hi-1 exactly once.
 
-    Empty blocks (start == end) are ignored; a None block never tiles.
+    Empty blocks (start == end) are ignored; None (no blocks) never tiles.
     """
-    if None in blocks:
+    if blocks is None:
         return False
     edge = lo
     for start, end in sorted(b for b in blocks if b[0] != b[1]):
@@ -469,13 +450,7 @@ def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
     failures = []
     for k, m in enumerate(cell.space.monomials):
         for deco, lo, hi in zip(cell.decompositions(k), (0, k + 1), (k, cell.total)):
-            blocks = cell.summand_blocks(deco.summands)
-            if blocks is not None:
-                agrees = _tiles(blocks, lo, hi)
-            else:
-                gens = [g for s in deco.summands for g in cell.summand_tuples(s)]
-                agrees = cell.fills(gens, lo, hi)
-            if not agrees:
+            if not _tiles(cell.summand_blocks(deco.summands), lo, hi):
                 failures.append(f"{deco.kind} partition broken at m={m.to_csv()}")
                 break
         if failures:
@@ -488,17 +463,7 @@ def _prop_split_agreement(cell: _Cell) -> CheckResult:
     failures = []
     for k, m in enumerate(cell.space.monomials):
         for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
-            split = split_once(seg)
-            blocks = cell.split_blocks(split)
-            if blocks is not None:
-                agrees = _tiles(blocks, lo, hi)
-            else:
-                gens = cell.summand_tuples(split.summand)
-                if split.residual is not None:
-                    residual = cell.segment_tuples(split.residual)
-                    gens += _prefixed(split.residual_prefix.exponents, residual)
-                agrees = cell.fills(gens, lo, hi)
-            if not agrees:
+            if not _tiles(cell.split_blocks(split_once(seg)), lo, hi):
                 failures.append(f"split mismatch for {seg.kind} at m={m.to_csv()}")
                 break
         if failures:
