@@ -6,20 +6,20 @@ monomials lex-larger (ideal segment) and lex-smaller (quotient segment)
 than m, the Macaulay coefficient tuples of those dimensions read directly
 off m, the set partition the two coefficient sets form, rank/unrank for
 the lex-descending enumeration, and the sharp growth bounds for graded
-ideals and quotients.  A brute-force oracle verifies every formula by
-exhaustive enumeration on small instances.
+ideals and quotients.  The package root exports only these closed forms
+and the error types.  The brute-force oracle that verifies every formula
+by exhaustive enumeration on small instances is the submodule
+`lexseg.oracle`, which `import lexseg` does not load.
 """
 
 from .duality import (
     CoefficientSets,
-    ShiftInheritanceReport,
     coefficient_sets,
     ideal_coefficients,
     quotient_coefficients,
     rank,
     reconstruct_from_ideal_set,
     reconstruct_from_quotient_set,
-    shift_inheritance_check,
     unrank,
 )
 from .errors import (
@@ -41,32 +41,18 @@ from .macaulay import (
     quotient_growth_bound,
     space_dimension,
 )
-from .monomial import Monomial, VariableWindow, lex_compare, parse_monomial, sort_lex_descending
-from .oracle import (
-    EnumeratedSpace,
-    MonomialIdealSample,
-    VerificationReport,
-    enumerate_segment,
-    enumerate_space,
-    enumerate_summand,
-    hilbert_next,
-    random_monomial_sample,
-    run_verification,
-    span_multiply,
-)
+from .monomial import Monomial, VariableWindow, parse_monomial
 from .segments import (
     IDEAL,
     QUOTIENT,
     Decomposition,
     SegmentSpec,
-    SplitResult,
     Summand,
     decompose,
     ideal_segment,
     multiply_decomposition,
     multiply_segment,
     quotient_segment,
-    reduce_window,
     segment_dimension,
     split_once,
 )
@@ -76,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientSets",
     "Decomposition",
-    "EnumeratedSpace",
     "IDEAL",
     "InternalConsistencyError",
     "InvalidInputError",
@@ -84,30 +69,21 @@ __all__ = [
     "LexsegError",
     "MacaulayRep",
     "Monomial",
-    "MonomialIdealSample",
     "MonomialParseError",
     "NoPredecessorError",
     "NoSuccessorError",
     "QUOTIENT",
     "ResourceLimitError",
     "SegmentSpec",
-    "ShiftInheritanceReport",
-    "SplitResult",
     "Summand",
     "UnitMonomialError",
     "VariableWindow",
-    "VerificationReport",
     "binom",
     "coefficient_sets",
     "decompose",
-    "enumerate_segment",
-    "enumerate_space",
-    "enumerate_summand",
-    "hilbert_next",
     "ideal_coefficients",
     "ideal_growth_bound",
     "ideal_segment",
-    "lex_compare",
     "macaulay_rep",
     "multiply_decomposition",
     "multiply_segment",
@@ -116,16 +92,10 @@ __all__ = [
     "quotient_growth_bound",
     "quotient_segment",
     "rank",
-    "random_monomial_sample",
     "reconstruct_from_ideal_set",
     "reconstruct_from_quotient_set",
-    "reduce_window",
-    "run_verification",
     "segment_dimension",
-    "shift_inheritance_check",
-    "sort_lex_descending",
     "space_dimension",
-    "span_multiply",
     "split_once",
     "unrank",
 ]

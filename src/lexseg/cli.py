@@ -214,15 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lex segments, Macaulay representations, coefficient duality, "
         "growth bounds, and a brute-force verification sweep.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a single JSON object")
+    # every subcommand takes --json; only those that read a monomial or a
+    # variable count take --n
+    json_only = argparse.ArgumentParser(add_help=False)
+    json_only.add_argument("--json", action="store_true", help="emit a single JSON object")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_only])
     common.add_argument(
         "--n", type=int, default=None,
         help="variable count, required for letter-form monomials like a^2*b",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("macrep", parents=[common], help="Macaulay representation of an integer")
+    p = sub.add_parser("macrep", parents=[json_only], help="Macaulay representation of an integer")
     p.add_argument("s", type=int)
     p.add_argument("p", type=int)
     p.set_defaults(func=_cmd_macrep)
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True)
     p.set_defaults(func=_cmd_partition)
 
-    p = sub.add_parser("reconstruct", parents=[common],
+    p = sub.add_parser("reconstruct", parents=[json_only],
                        help="monomial from a coefficient set and universe top p")
     p.add_argument("--set", required=True, help="comma-separated coefficients, e.g. 6,3,1")
     p.add_argument("--p", type=int, required=True)
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True)
     p.set_defaults(func=_cmd_unrank)
 
-    p = sub.add_parser("verify", parents=[common], help="run the brute-force verification sweep")
+    p = sub.add_parser("verify", parents=[json_only], help="run the brute-force verification sweep")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--max-delta", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)

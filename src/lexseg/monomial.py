@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidInputError,
@@ -266,8 +266,3 @@ def _parse_letters(text: str, n_hint: Optional[int]) -> Monomial:
         exps[index - 1] += int(match.group(2) or 1)
         offset += len(token) + 1
     return Monomial(tuple(exps))
-
-
-def sort_lex_descending(monomials: Sequence[Monomial]) -> list[Monomial]:
-    """Sort lex-largest first."""
-    return sorted(monomials, key=lambda m: m.exponents, reverse=True)

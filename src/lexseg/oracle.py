@@ -10,12 +10,12 @@ An ideal segment is a prefix of the cell's lex-descending list of degree-delta
 monomials and a quotient segment a suffix, so each segment check compares
 the closed form's output against a slice of that enumerated list: by the lex
 positions of the generators it enumerates, or by the size and largest
-position of a brute-force span.  Where the premise of a slice fails (a
-product off the full window, or one that changes kind or inclusiveness, or
-an exponent missing from the list), the check falls back to enumerating
-both sides in full.  Positions come from enumeration alone, never from rank
-or dimension formulas: the oracle exists to check those formulas, so it
-must not trust them.
+position of a brute-force span.  A product segment must therefore stay on
+the full window with its segment's kind and inclusiveness: one that does
+not, or whose monomial is missing from the next degree's list, is reported
+as a failure.  Positions come from enumeration alone, never from rank or
+dimension formulas: the oracle exists to check those formulas, so it must
+not trust them.
 
 A decomposition summand (prefix times a window space) and a split's
 prefixed residual listing each fill one contiguous block of the list.  Each
@@ -169,12 +169,6 @@ class MonomialIdealSample:
     n: int
     delta: int
     generators: tuple[Monomial, ...]
-
-
-def random_monomial_sample(
-    n: int, delta: int, size: int, rng: random.Random, cap: int = DEFAULT_ENUMERATION_CAP
-) -> MonomialIdealSample:
-    return _sample_of(enumerate_space(n, delta, cap), size, rng)
 
 
 def _sample_of(space: EnumeratedSpace, size: int, rng: random.Random) -> MonomialIdealSample:
@@ -552,12 +546,15 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
     full window that keeps its kind and inclusiveness, enumerated, is a
     prefix or a suffix of next_exps, so it agrees exactly when S_j fills
     that prefix (or the suffix's complement): |S_j| equals the prefix length
-    and S_j's largest position lies below it.  Otherwise both sides are
-    enumerated and compared as sets.
+    and S_j's largest position lies below it.  A product in any other form
+    fails, and so does the whole property when next_exps is not sorted or
+    misses a product.
     """
-    failures = []
     sizes, largest = cell.prefix_spans()
-    fast = cell.next_sorted and largest is not None
+    if not cell.next_sorted or largest is None:
+        failures = [f"degree {cell.delta + 1} listing is unsorted or incomplete"]
+        return _check(cell.label, "multiplication_agreement", failures, "")
+    failures = []
     for k, m in enumerate(cell.space.monomials):
         for seg in (
             ideal_segment(m),
@@ -570,19 +567,14 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
             # the product's prefix side is then next_exps[:p + e]
             e = int((seg.kind == IDEAL) == seg.inclusive)
             product = multiply_segment(seg)
-            p = cell.next_pos.get(product.m.exponents) if fast else None
-            if (
+            p = cell.next_pos.get(product.m.exponents)
+            agrees = (
                 p is not None
-                and product.window.lo == 1
-                and product.window.hi == cell.n
-                and product.kind == seg.kind
-                and product.inclusive == seg.inclusive
-            ):
-                agrees = sizes[k + e] == p + e and largest[k + e] < p + e
-            else:
-                span = _span_tuples(cell.space.monomials[: k + e])
-                expected = span if seg.kind == IDEAL else set(cell.next_pos) - span
-                agrees = {g.exponents for g in enumerate_segment(product)} == expected
+                and (product.window.lo, product.window.hi) == (1, cell.n)
+                and (product.kind, product.inclusive) == (seg.kind, seg.inclusive)
+                and sizes[k + e] == p + e
+                and largest[k + e] < p + e
+            )
             if not agrees:
                 failures.append(
                     f"{seg.kind} inclusive={seg.inclusive} multiplication off at m={m.to_csv()}"

@@ -22,10 +22,10 @@ from lexseg import (
     quotient_segment,
     reconstruct_from_ideal_set,
     reconstruct_from_quotient_set,
-    run_verification,
     segment_dimension,
 )
 from lexseg import cli
+from lexseg.oracle import run_verification
 
 M68 = mono("a^2*b*d^3*f^2", 6)
 M44 = mono("b^2*c*d", 4)

@@ -165,6 +165,22 @@ class TestErrors:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "6"],
+            ["macrep", "114", "6", "--n", "6"],
+            ["reconstruct", "--set", "6,3,1", "--p", "6", "--n", "4"],
+        ],
+        ids=["verify", "macrep", "reconstruct"],
+    )
+    def test_n_rejected_where_unread(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--n" in captured.err
+
 
 class TestDeterminism:
     def test_repeated_invocations_are_byte_identical(self, capsys):

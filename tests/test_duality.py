@@ -21,10 +21,9 @@ from lexseg import (
     reconstruct_from_ideal_set,
     reconstruct_from_quotient_set,
     segment_dimension,
-    shift_inheritance_check,
-    sort_lex_descending,
     unrank,
 )
+from lexseg.duality import shift_inheritance_check
 
 M68 = mono("a^2*b*d^3*f^2", 6)
 M44 = mono("b^2*c*d", 4)
@@ -33,7 +32,7 @@ M44 = mono("b^2*c*d", 4)
 def graded_piece(n, degree):
     piece = [Monomial(t) for t in itertools.product(range(degree + 1), repeat=n)
              if sum(t) == degree]
-    return sort_lex_descending(piece)
+    return sorted(piece, reverse=True)
 
 
 class TestIdealCoefficients:

@@ -11,27 +11,24 @@ from lexseg import oracle, segments
 from lexseg import (
     InvalidInputError,
     Monomial,
-    MonomialIdealSample,
     ResourceLimitError,
     SegmentSpec,
     VariableWindow,
     decompose,
+    ideal_segment,
+    quotient_segment,
+)
+from lexseg.oracle import (
+    MonomialIdealSample,
+    check_cell,
+    check_golden_values,
+    check_macaulay_uniqueness,
     enumerate_segment,
     enumerate_space,
     enumerate_summand,
     hilbert_next,
-    ideal_growth_bound,
-    ideal_segment,
-    quotient_growth_bound,
-    quotient_segment,
-    random_monomial_sample,
-    span_multiply,
-)
-from lexseg.oracle import (
-    check_cell,
-    check_golden_values,
-    check_macaulay_uniqueness,
     run_verification,
+    span_multiply,
 )
 from lexseg.segments import IDEAL, QUOTIENT, Decomposition, SplitResult, Summand
 
@@ -142,16 +139,13 @@ class TestHilbertNext:
         assert hilbert_next(sample) == (0, 10)
 
     def test_bounds_hold_on_seeded_samples(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            sample = random_monomial_sample(4, 3, rng.randint(0, 20), rng)
-            grown, complement = hilbert_next(sample)
-            assert grown >= ideal_growth_bound(len(sample.generators), 4)
-            assert complement <= quotient_growth_bound(20 - len(sample.generators), 3)
+        results = check_cell(4, 3, rng=random.Random(7), samples=50)
+        (result,) = [r for r in results if r.prop == "growth_bound_random"]
+        assert result.ok and result.detail == "samples=50", result.as_line()
 
     def test_sampling_is_reproducible(self):
-        first = random_monomial_sample(4, 3, 5, random.Random(11))
-        second = random_monomial_sample(4, 3, 5, random.Random(11))
+        first = run_verification(max_n=2, max_delta=2, seed=11)
+        second = run_verification(max_n=2, max_delta=2, seed=11)
         assert first == second
 
 
@@ -280,9 +274,10 @@ class TestFaultInjection:
         monkeypatch.setattr(oracle, "decompose", _decompose_restated_off_blocks)
         assert not _status("decomposition_partition").ok
 
-    def test_equivalent_product_in_another_form_passes(self, monkeypatch):
+    def test_equivalent_product_in_another_form_is_reported(self, monkeypatch):
         # an exclusive ideal product restated as the inclusive segment of its
-        # predecessor spans the same monomials, so the property must still hold
+        # predecessor spans the same monomials, but a product must keep its
+        # segment's kind and inclusiveness to be read as a slice
         def restated(seg):
             product = segments.multiply_segment(seg)
             if product.kind != IDEAL or product.inclusive or product.m.max_index() == 1:
@@ -290,7 +285,17 @@ class TestFaultInjection:
             return replace(product, m=product.m.predecessor(), inclusive=True)
 
         monkeypatch.setattr(oracle, "multiply_segment", restated)
-        assert _status("multiplication_agreement").ok
+        assert not _status("multiplication_agreement").ok
+
+    def test_next_degree_listing_premise_is_reported(self):
+        # products are read as slices of the next degree's listing, so a
+        # listing that is unsorted or misses a product fails the property
+        unsorted = oracle._Cell(3, 3, oracle.DEFAULT_ENUMERATION_CAP)
+        unsorted.next_sorted = False
+        incomplete = oracle._Cell(3, 3, oracle.DEFAULT_ENUMERATION_CAP)
+        incomplete._prefix_spans = (incomplete.prefix_spans()[0], None)
+        for cell in (unsorted, incomplete):
+            assert not oracle._prop_multiplication_agreement(cell).ok
 
 
 class TestTiles:

@@ -15,15 +15,15 @@ from lexseg import (
     SegmentSpec,
     VariableWindow,
     decompose,
-    enumerate_segment,
     ideal_segment,
     multiply_decomposition,
     multiply_segment,
     quotient_segment,
-    reduce_window,
     segment_dimension,
     split_once,
 )
+from lexseg.oracle import enumerate_segment
+from lexseg.segments import reduce_window
 
 M68 = mono("a^2*b*d^3*f^2", 6)
 M44 = mono("b^2*c*d", 4)
