@@ -74,42 +74,6 @@ def coefficient_sets(m: Monomial) -> CoefficientSets:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftInheritanceReport:
-    """Outcome of the four coefficient-inheritance identities for one monomial."""
-
-    m: Monomial
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def shift_inheritance_check(m: Monomial) -> ShiftInheritanceReport:
-    """Check how the coefficient sets respond to x_1-multiplication and shifting.
-
-    Multiplying by x_1 keeps the ideal set and adds n + delta - 1 to the
-    quotient set; shifting every index up by one does the opposite.
-    """
-    if m.is_unit:
-        raise UnitMonomialError("inheritance is undefined on the unit monomial")
-    n, delta = m.n, m.degree
-    newcomer = n + delta - 1
-    s_set = ideal_coefficients(m).as_set()
-    t_set = quotient_coefficients(m).as_set()
-    x1m = m.times_var(1)
-    shifted = m.shift(1)
-    identities = (
-        ("ideal set preserved under x_1 multiple", ideal_coefficients(x1m).as_set(), s_set),
-        ("quotient set extended under x_1 multiple", quotient_coefficients(x1m).as_set(), t_set | {newcomer}),
-        ("quotient set preserved under shift", quotient_coefficients(shifted).as_set(), t_set),
-        ("ideal set extended under shift", ideal_coefficients(shifted).as_set(), s_set | {newcomer}),
-    )
-    failures = tuple(name for name, got, want in identities if got != want)
-    return ShiftInheritanceReport(m, failures)
-
-
 def _coefficient_set(values, p: int) -> list[int]:
     """The entries of a nonempty coefficient subset of {0, ..., p}, sorted ascending."""
     vals = list(values)

@@ -117,16 +117,6 @@ class Monomial:
             raise InvalidInputError(f"coarse tail index {i} outside 0..{self.n - 1}")
         return Monomial((0,) * i + self.exponents[i:])
 
-    def fine_tail(self, i: int) -> Monomial:
-        """Drop the i lex-earliest factors of the standard factorization.
-
-        i = degree is accepted and yields the unit monomial; it is needed
-        when prefix monomials are computed by dividing out a full tail.
-        """
-        if not 0 <= i <= self.degree:
-            raise InvalidInputError(f"fine tail index {i} outside 0..{self.degree}")
-        return Monomial.from_factorization(self.standard_factorization()[i:], self.n)
-
     def shift(self, i: int) -> Monomial:
         """Raise every variable index by i, viewed in n + i variables."""
         if i < 0:

@@ -6,6 +6,11 @@ other modules.  The verification sweep treats each cell independently and
 purely, so cells could run concurrently; results merge deterministically
 by cell coordinates.
 
+The public surface: `enumerate_space` (a graded piece as a lex-descending
+tuple), `enumerate_segment` and `enumerate_summand` (generator lists), each
+raising ResourceLimitError above the enumeration cap, then `check_cell` (one
+cell) and `run_verification` (the sweep).
+
 An ideal segment is a prefix of the cell's lex-descending list of degree-delta
 monomials and a quotient segment a suffix, so each segment check compares
 the closed form's output against a slice of that enumerated list: by the lex
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import duality, segments
-from .errors import InvalidInputError, NoPredecessorError, ResourceLimitError
+from .errors import NoPredecessorError, ResourceLimitError
 from .macaulay import (
     binom,
     ideal_growth_bound,
@@ -47,7 +52,6 @@ from .macaulay import (
 from .monomial import Monomial
 from .segments import (
     IDEAL,
-    QUOTIENT,
     Decomposition,
     SegmentSpec,
     SplitResult,
@@ -74,37 +78,24 @@ def _exponent_tuples(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _window_tuples(n: int, lo: int, hi: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of full length n with support inside [lo, hi], lex-descending."""
+def _capped_window_tuples(n: int, lo: int, hi: int, degree: int, cap: int) -> list[tuple[int, ...]]:
+    """Full-length exponent tuples supported on [lo, hi], lex-descending, refusing more than cap."""
     size = hi - lo + 1
+    dimension = space_dimension(size, degree)
+    if dimension > cap:
+        raise ResourceLimitError(f"window space of dimension {dimension} exceeds the cap {cap}")
     if size == 0:
         return [(0,) * n] if degree == 0 else []
     head, tail = (0,) * (lo - 1), (0,) * (n - hi)
     return [head + t + tail for t in _exponent_tuples(size, degree)]
 
 
-@dataclass(frozen=True, slots=True)
-class EnumeratedSpace:
-    """Complete lex-descending listing of the degree-delta monomials in n variables."""
-
-    n: int
-    delta: int
-    monomials: tuple[Monomial, ...]
-
-    def index(self, m: Monomial) -> int:
-        return self.monomials.index(m)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
-def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EnumeratedSpace:
-    """Materialize a whole graded piece, refusing anything above the cap."""
+def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Monomial, ...]:
+    """Materialize a whole graded piece, lex-descending, refusing anything above the cap."""
     total = space_dimension(n, delta)
     if total > cap:
         raise ResourceLimitError(f"space of dimension {total} exceeds the cap {cap}")
-    monomials = tuple(Monomial(t) for t in _exponent_tuples(n, delta))
-    return EnumeratedSpace(n, delta, monomials)
+    return tuple(Monomial(t) for t in _exponent_tuples(n, delta))
 
 
 def enumerate_segment(seg: SegmentSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Monomial]:
@@ -117,15 +108,11 @@ def enumerate_summand(summand: segments.Summand) -> list[Monomial]:
     """Generators of one decomposition summand: prefix times its window space."""
     if summand.degree < 0:
         return []
-    tails = _window_tuples(summand.prefix.n, summand.window.lo, summand.window.hi, summand.degree)
+    window = summand.window
+    tails = _capped_window_tuples(
+        summand.prefix.n, window.lo, window.hi, summand.degree, DEFAULT_ENUMERATION_CAP
+    )
     return [Monomial(t) for t in _prefixed(summand.prefix.exponents, tails)]
-
-
-def _capped_window_tuples(n: int, lo: int, hi: int, degree: int, cap: int) -> list[tuple[int, ...]]:
-    size = space_dimension(hi - lo + 1, degree)
-    if size > cap:
-        raise ResourceLimitError(f"window space of dimension {size} exceeds the cap {cap}")
-    return _window_tuples(n, lo, hi, degree)
 
 
 def _segment_of(seg: SegmentSpec, window: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -144,45 +131,9 @@ def _prefixed(prefix: tuple[int, ...], tails: Iterable[tuple[int, ...]]) -> list
     return [tuple(p + t for p, t in zip(prefix, tail)) for tail in tails]
 
 
-def span_multiply(generators: Iterable[Monomial]) -> list[Monomial]:
-    """Deduplicated products {g * x_i}, lex-descending; the span of S_1 times the input."""
-    return [Monomial(t) for t in sorted(_span_tuples(list(generators)), reverse=True)]
-
-
-def _span_tuples(gens: Sequence[Monomial]) -> set[tuple[int, ...]]:
-    if not gens:
-        return set()
-    if len({g.degree for g in gens}) != 1:
-        raise InvalidInputError("span generators must share one degree")
-    n = gens[0].n
-    return {
-        g.exponents[:i] + (g.exponents[i] + 1,) + g.exponents[i + 1 :]
-        for g in gens
-        for i in range(n)
-    }
-
-
-@dataclass(frozen=True, slots=True)
-class MonomialIdealSample:
-    """A set of distinct degree-delta generators; the test fixture for growth bounds."""
-
-    n: int
-    delta: int
-    generators: tuple[Monomial, ...]
-
-
-def _sample_of(space: EnumeratedSpace, size: int, rng: random.Random) -> MonomialIdealSample:
-    picks = rng.sample(range(len(space)), size)
-    return MonomialIdealSample(space.n, space.delta, tuple(space.monomials[i] for i in sorted(picks)))
-
-
-def hilbert_next(sample: MonomialIdealSample, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, int]:
-    """(dim of the span in the next degree, dim of its complement)."""
-    total_next = space_dimension(sample.n, sample.delta + 1)
-    if total_next > cap:
-        raise ResourceLimitError(f"next graded piece of dimension {total_next} exceeds the cap {cap}")
-    grown = len(_span_tuples(sample.generators))
-    return grown, total_next - grown
+def _products(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The exponent tuples of t * x_i for i = 1..n: the span of S_1 times one generator."""
+    return [t[:i] + (t[i] + 1,) + t[i + 1 :] for i in range(len(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +185,10 @@ class _Cell:
         self.cap = cap
         self.label = f"({n},{delta})"
         self.space = enumerate_space(n, delta, cap)
-        self.exps = [m.exponents for m in self.space.monomials]
+        self.exps = [m.exponents for m in self.space]
         self.total = len(self.exps)
         self.pos = {t: k for k, t in enumerate(self.exps)}
-        self.next_exps = [m.exponents for m in enumerate_space(n, delta + 1, cap).monomials]
+        self.next_exps = [m.exponents for m in enumerate_space(n, delta + 1, cap)]
         self.next_pos = {t: k for k, t in enumerate(self.next_exps)}
         self.total_next = len(self.next_exps)
         # premise of reading a next-degree segment as a slice of next_exps
@@ -260,8 +211,7 @@ class _Cell:
             span: set[tuple[int, ...]] = set()
             top, complete = -1, True
             for t in self.exps:
-                for i in range(self.n):
-                    u = t[:i] + (t[i] + 1,) + t[i + 1 :]
+                for u in _products(t):
                     if u not in span:
                         span.add(u)
                         k = self.next_pos.get(u)
@@ -295,7 +245,7 @@ class _Cell:
     def decompositions(self, k: int) -> tuple[Decomposition, Decomposition]:
         """decompose() of the k-th monomial's exclusive ideal and quotient segments."""
         if k not in self._decompositions:
-            m = self.space.monomials[k]
+            m = self.space[k]
             self._decompositions[k] = (decompose(ideal_segment(m)), decompose(quotient_segment(m)))
         return self._decompositions[k]
 
@@ -409,12 +359,12 @@ def _prop_enumeration_order(cell: _Cell) -> CheckResult:
 def _prop_predecessor_adjacency(cell: _Cell) -> CheckResult:
     failures = []
     try:
-        cell.space.monomials[0].predecessor()
+        cell.space[0].predecessor()
         failures.append("lex-largest monomial produced a predecessor")
     except NoPredecessorError:
         pass
     for k in range(1, cell.total):
-        if cell.space.monomials[k].predecessor().exponents != cell.exps[k - 1]:
+        if cell.space[k].predecessor().exponents != cell.exps[k - 1]:
             failures.append(f"predecessor mismatch at position {k}")
             break
     return _check(cell.label, "predecessor_adjacency", failures, f"{cell.total} monomials")
@@ -423,7 +373,7 @@ def _prop_predecessor_adjacency(cell: _Cell) -> CheckResult:
 def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
     failures = []
     total = cell.total
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         ideal_dim = segment_dimension(ideal_segment(m))
         quot_dim = segment_dimension(quotient_segment(m))
         checks = (
@@ -442,7 +392,7 @@ def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
 def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
     """The summands of each segment's decomposition partition its slice."""
     failures = []
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         for deco, lo, hi in zip(cell.decompositions(k), (0, k + 1), (k, cell.total)):
             if not _tiles(cell.summand_blocks(deco.summands), lo, hi):
                 failures.append(f"{deco.kind} partition broken at m={m.to_csv()}")
@@ -455,7 +405,7 @@ def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
 def _prop_split_agreement(cell: _Cell) -> CheckResult:
     """A one-step split's summand and prefixed residual partition the segment's slice."""
     failures = []
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
             if not _tiles(cell.split_blocks(split_once(seg)), lo, hi):
                 failures.append(f"split mismatch for {seg.kind} at m={m.to_csv()}")
@@ -467,7 +417,7 @@ def _prop_split_agreement(cell: _Cell) -> CheckResult:
 
 def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
     failures = []
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         if duality.ideal_coefficients(m).value() != k:
             failures.append(f"ideal coefficients wrong at m={m.to_csv()}")
             break
@@ -479,7 +429,7 @@ def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
 
 def _prop_set_partition(cell: _Cell) -> CheckResult:
     failures = []
-    for m in cell.space.monomials:
+    for m in cell.space:
         try:
             duality.coefficient_sets(m)
         except Exception as exc:  # any invariant breach is a failure
@@ -492,7 +442,7 @@ def _prop_bijection(cell: _Cell) -> CheckResult:
     failures = []
     universe = frozenset(range(cell.n + cell.delta - 1))
     images = set()
-    for m in cell.space.monomials:
+    for m in cell.space:
         s = duality.ideal_coefficients(m).as_set()
         if len(s) != cell.n - 1 or not s <= universe:
             failures.append(f"image not an (n-1)-subset at m={m.to_csv()}")
@@ -511,7 +461,7 @@ def _prop_reconstruction_roundtrip(cell: _Cell) -> CheckResult:
         return CheckResult(cell.label, "reconstruction_roundtrip", True, "skipped: needs n >= 2")
     failures = []
     p = cell.n + cell.delta - 2
-    for m in cell.space.monomials:
+    for m in cell.space:
         s = duality.ideal_coefficients(m).as_set()
         t = duality.quotient_coefficients(m).as_set()
         if duality.reconstruct_from_ideal_set(s, p) != m:
@@ -526,7 +476,7 @@ def _prop_reconstruction_roundtrip(cell: _Cell) -> CheckResult:
 def _prop_rank_unrank(cell: _Cell) -> CheckResult:
     failures = []
     total = cell.total
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         q = duality.rank(m)
         q_from_quotient = total - duality.quotient_coefficients(m).value()
         if q != k + 1 or q_from_quotient != q:
@@ -555,7 +505,7 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
         failures = [f"degree {cell.delta + 1} listing is unsorted or incomplete"]
         return _check(cell.label, "multiplication_agreement", failures, "")
     failures = []
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         for seg in (
             ideal_segment(m),
             ideal_segment(m, inclusive=True),
@@ -587,7 +537,7 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
 
 def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
     failures = []
-    for k, m in enumerate(cell.space.monomials):
+    for k, m in enumerate(cell.space):
         for seg, deco in zip((ideal_segment(m), quotient_segment(m)), cell.decompositions(k)):
             got = multiply_decomposition(deco).dimension()
             want = segment_dimension(multiply_segment(seg))
@@ -603,7 +553,7 @@ def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
 
 def _prop_window_reduction(cell: _Cell) -> CheckResult:
     failures = []
-    for m in cell.space.monomials:
+    for m in cell.space:
         seg = quotient_segment(m)
         reduced = reduce_window(seg)
         if reduced.window.lo != m.min_index():
@@ -616,11 +566,26 @@ def _prop_window_reduction(cell: _Cell) -> CheckResult:
 
 
 def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
+    """How the coefficient sets respond to x_1-multiplication and shifting.
+
+    Multiplying by x_1 keeps the ideal set and adds n + delta - 1 to the
+    quotient set; shifting every index up by one does the opposite.
+    """
+    ideal, quotient = duality.ideal_coefficients, duality.quotient_coefficients
+    newcomer = cell.n + cell.delta - 1
     failures = []
-    for m in cell.space.monomials:
-        report = duality.shift_inheritance_check(m)
-        if not report.ok:
-            failures.append(f"{report.failures[0]} at m={m.to_csv()}")
+    for m in cell.space:
+        s_set, t_set = ideal(m).as_set(), quotient(m).as_set()
+        x1m, shifted = m.times_var(1), m.shift(1)
+        identities = (
+            ("ideal set preserved under x_1 multiple", ideal(x1m).as_set(), s_set),
+            ("quotient set extended under x_1 multiple", quotient(x1m).as_set(), t_set | {newcomer}),
+            ("quotient set preserved under shift", quotient(shifted).as_set(), t_set),
+            ("ideal set extended under shift", ideal(shifted).as_set(), s_set | {newcomer}),
+        )
+        broken = [name for name, got, want in identities if got != want]
+        if broken:
+            failures.append(f"{broken[0]} at m={m.to_csv()}")
             break
     return _check(cell.label, "shift_inheritance", failures, f"{cell.total} monomials")
 
@@ -643,12 +608,12 @@ def _prop_growth_bound_random(cell: _Cell, rng: random.Random, samples: int) -> 
     failures = []
     for _ in range(samples):
         size = rng.randint(0, cell.total)
-        sample = _sample_of(cell.space, size, rng)
-        grown, complement = hilbert_next(sample)
+        picks = rng.sample(range(cell.total), size)
+        grown = len({u for k in picks for u in _products(cell.exps[k])})
         if cell.n >= 2 and grown < ideal_growth_bound(size, cell.n):
             failures.append(f"ideal lower bound violated by a {size}-generator sample")
             break
-        if complement > quotient_growth_bound(cell.total - size, cell.delta):
+        if cell.total_next - grown > quotient_growth_bound(cell.total - size, cell.delta):
             failures.append(f"quotient upper bound violated by a {size}-generator sample")
             break
     return _check(cell.label, "growth_bound_random", failures, f"samples={samples}")

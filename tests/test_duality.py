@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import mono
 from lexseg import (
     InvalidInputError,
+    MacaulayRep,
     Monomial,
     UnitMonomialError,
     binom,
@@ -23,7 +24,7 @@ from lexseg import (
     segment_dimension,
     unrank,
 )
-from lexseg.duality import shift_inheritance_check
+from lexseg import duality, oracle
 
 M68 = mono("a^2*b*d^3*f^2", 6)
 M44 = mono("b^2*c*d", 4)
@@ -33,6 +34,11 @@ def graded_piece(n, degree):
     piece = [Monomial(t) for t in itertools.product(range(degree + 1), repeat=n)
              if sum(t) == degree]
     return sorted(piece, reverse=True)
+
+
+def shift_inheritance(n, delta):
+    """The oracle's shift_inheritance property on one (n, delta) cell."""
+    return oracle._prop_shift_inheritance(oracle._Cell(n, delta, oracle.DEFAULT_ENUMERATION_CAP))
 
 
 class TestIdealCoefficients:
@@ -116,16 +122,31 @@ class TestShiftInheritance:
         assert ideal_coefficients(m).coefficients == (9, 8, 7, 6, 3, 1)
 
     def test_report_passes_for_pure_power(self):
-        report = shift_inheritance_check(mono("4,0,0"))
-        assert report.ok and report.failures == ()
+        # the one-variable cell holds only the pure power x_1^4
+        result = shift_inheritance(1, 4)
+        assert result.ok and result.detail == "1 monomials", result.as_line()
 
     def test_report_passes_exhaustive_small(self):
-        for m in graded_piece(4, 3):
-            assert shift_inheritance_check(m).ok
+        result = shift_inheritance(4, 3)
+        assert result.ok and result.detail == "20 monomials", result.as_line()
+
+    def test_wrong_quotient_coefficients_fail(self, monkeypatch):
+        # t_i read one too high: every coefficient set is off by one, which
+        # the x_1 identity sees as the newcomer n + delta landing in place
+        # of n + delta - 1
+        original = duality.quotient_coefficients
+
+        def wrong(m):
+            return MacaulayRep(tuple(c + 1 for c in original(m).coefficients))
+
+        monkeypatch.setattr(duality, "quotient_coefficients", wrong)
+        result = shift_inheritance(3, 3)
+        assert not result.ok and "quotient set extended" in result.detail, result.as_line()
 
     def test_unit_rejected(self):
+        # the degree-0 cell is the unit monomial, whose coefficients are undefined
         with pytest.raises(UnitMonomialError):
-            shift_inheritance_check(Monomial.unit(2))
+            shift_inheritance(2, 0)
 
 
 class TestReconstruction:

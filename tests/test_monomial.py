@@ -161,25 +161,6 @@ class TestTails:
         with pytest.raises(InvalidInputError):
             self.m.coarse_tail(-1)
 
-    def test_fine_tail_zero_is_identity(self):
-        assert self.m.fine_tail(0) == self.m
-
-    def test_fine_tails(self):
-        assert self.m.fine_tail(1) == Monomial((1, 1, 0, 4))
-        assert self.m.fine_tail(2) == Monomial((0, 1, 0, 4))
-        assert self.m.fine_tail(5) == Monomial((0, 0, 0, 2))
-        assert self.m.fine_tail(7) == Monomial.unit(4)
-
-    def test_fine_tail_range(self):
-        with pytest.raises(InvalidInputError):
-            self.m.fine_tail(8)
-
-    def test_fine_tail_drops_degree_exactly(self):
-        for t in all_tuples(4, 5):
-            m = Monomial(t)
-            for i in range(6):
-                assert m.fine_tail(i).degree == 5 - i
-
     def test_coarse_tail_zeroes_prefix_and_keeps_suffix(self):
         for t in all_tuples(4, 4):
             m = Monomial(t)

@@ -9,7 +9,6 @@ import pytest
 from conftest import mono
 from lexseg import oracle, segments
 from lexseg import (
-    InvalidInputError,
     Monomial,
     ResourceLimitError,
     SegmentSpec,
@@ -19,16 +18,13 @@ from lexseg import (
     quotient_segment,
 )
 from lexseg.oracle import (
-    MonomialIdealSample,
     check_cell,
     check_golden_values,
     check_macaulay_uniqueness,
     enumerate_segment,
     enumerate_space,
     enumerate_summand,
-    hilbert_next,
     run_verification,
-    span_multiply,
 )
 from lexseg.segments import IDEAL, QUOTIENT, Decomposition, SplitResult, Summand
 
@@ -40,11 +36,11 @@ class TestEnumerateSpace:
         space = enumerate_space(3, 3)
         expected = ["a^3", "a^2*b", "a^2*c", "a*b^2", "a*b*c", "a*c^2",
                     "b^3", "b^2*c", "b*c^2", "c^3"]
-        assert [str(m) for m in space.monomials] == expected
+        assert [str(m) for m in space] == expected
 
     def test_single_variable(self):
         space = enumerate_space(1, 7)
-        assert space.monomials == (Monomial((7,)),)
+        assert space == (Monomial((7,)),)
 
     def test_six_eight_count(self):
         assert len(enumerate_space(6, 8)) == 1287
@@ -109,44 +105,64 @@ class TestEnumerateSummand:
             assert sorted(collected, key=lambda m: m.exponents, reverse=True) == enumerate_segment(seg)
             assert len(collected) == len(set(collected))
 
+    def test_cap_enforced_before_enumerating(self, monkeypatch):
+        # C(59, 30) generators: the cap must refuse before any tuple is built
+        def unreachable(*args):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(oracle, "_exponent_tuples", unreachable)
+        with pytest.raises(ResourceLimitError):
+            enumerate_summand(Summand(Monomial.unit(30), VariableWindow(1, 30), 30))
+
 
 class TestSpanMultiply:
     def test_one_generator(self):
-        assert span_multiply([mono("2,0")]) == [mono("3,0"), mono("2,1")]
-
-    def test_empty(self):
-        assert span_multiply([]) == []
-
-    def test_mixed_degrees_rejected(self):
-        with pytest.raises(InvalidInputError):
-            span_multiply([mono("1,0"), mono("2,0")])
+        assert oracle._products((2, 0)) == [(3, 0), (2, 1)]
 
     def test_six_variable_segment_span(self):
         # frozen against enumeration: the 362-dim segment spans 653 products
-        span = span_multiply(enumerate_segment(ideal_segment(M68)))
-        assert len(span) == 653
-        assert set(span) == set(enumerate_segment(ideal_segment(mono("2,1,0,3,0,3"))))
+        gens = [g.exponents for g in enumerate_segment(ideal_segment(M68))]
+        span = {u for t in gens for u in oracle._products(t)}
+        sizes, _ = oracle._Cell(6, 8, oracle.DEFAULT_ENUMERATION_CAP).prefix_spans()
+        assert len(gens) == 362 and sizes[362] == len(span) == 653
+        product = enumerate_segment(ideal_segment(mono("2,1,0,3,0,3")))
+        assert span == {g.exponents for g in product}
 
 
 class TestHilbertNext:
     def test_full_piece(self):
-        gens = list(enumerate_space(3, 2).monomials)
-        sample = MonomialIdealSample(3, 2, tuple(gens))
-        assert hilbert_next(sample) == (10, 0)
+        cell = oracle._Cell(3, 2, oracle.DEFAULT_ENUMERATION_CAP)
+        grown = cell.prefix_spans()[0][cell.total]
+        assert (grown, cell.total_next - grown) == (10, 0)
 
     def test_empty_sample(self):
-        sample = MonomialIdealSample(3, 2, ())
-        assert hilbert_next(sample) == (0, 10)
+        cell = oracle._Cell(3, 2, oracle.DEFAULT_ENUMERATION_CAP)
+        grown = cell.prefix_spans()[0][0]
+        assert (grown, cell.total_next - grown) == (0, 10)
 
     def test_bounds_hold_on_seeded_samples(self):
         results = check_cell(4, 3, rng=random.Random(7), samples=50)
         (result,) = [r for r in results if r.prop == "growth_bound_random"]
         assert result.ok and result.detail == "samples=50", result.as_line()
 
-    def test_sampling_is_reproducible(self):
-        first = run_verification(max_n=2, max_delta=2, seed=11)
-        second = run_verification(max_n=2, max_delta=2, seed=11)
-        assert first == second
+    def test_sampling_is_reproducible(self, monkeypatch):
+        # the report shows only samples=N, so read the generator each cell
+        # hands to the sampler; getstate() consumes no draw
+        original = oracle._prop_growth_bound_random
+
+        def sweep(seed):
+            states = []
+
+            def recording(cell, rng, samples):
+                states.append(rng.getstate())
+                return original(cell, rng, samples)
+
+            monkeypatch.setattr(oracle, "_prop_growth_bound_random", recording)
+            return run_verification(max_n=2, max_delta=2, seed=seed), states
+
+        first, second, other = sweep(11), sweep(11), sweep(12)
+        assert first == second and len(first[1]) == 4
+        assert all(a != b for a, b in zip(first[1], other[1]))
 
 
 class TestVerification:
