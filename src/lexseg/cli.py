@@ -148,10 +148,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    try:
-        values = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"bad coefficient set {args.set!r}") from None
+    tokens = [tok for tok in map(str.strip, args.set.split(",")) if tok]
+    # int() alone would also read "1_0", "+3" and non-ASCII digits
+    if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
+        raise _UsageError(f"bad coefficient set {args.set!r}")
+    values = [int(tok) for tok in tokens]
     if args.source == segments.IDEAL:
         m = duality.reconstruct_from_ideal_set(values, args.p)
     else:

@@ -9,7 +9,8 @@ by cell coordinates.
 The public surface: `enumerate_space` (a graded piece as a lex-descending
 tuple), `enumerate_segment` and `enumerate_summand` (generator lists), each
 raising ResourceLimitError above the enumeration cap, then `check_cell` (one
-cell) and `run_verification` (the sweep).
+cell) and `run_verification` (the sweep).  Both generator lists come from
+one capped enumerator of prefix times a window space.
 
 An ideal segment is a prefix of the cell's lex-descending list of degree-delta
 monomials and a quotient segment a suffix, so each segment check compares
@@ -22,26 +23,28 @@ as a failure.  Positions come from enumeration alone, never from rank or
 dimension formulas: the oracle exists to check those formulas, so it must
 not trust them.
 
-A decomposition summand (prefix times a window space) and a split's
-prefixed residual listing each fill one contiguous block of the list.  Each
-distinct summand is enumerated once per cell, and its block is read off the
-positions of its generators; per monomial, the blocks of a segment's pieces
-must then tile the segment's slice exactly, an O(n + delta) interval check.
-A split's residual segment is a prefix (ideal) or a suffix (quotient) of
-its prefixed listing, cut at the residual monomial's position.  This is a
-contract on the closed forms: a summand whose generators do not sit at
-consecutive positions in lex order is reported as a failure, even where a
-union of such pieces would still cover the slice.
+A decomposition summand, a window space and a prefixed window space each
+fill one contiguous block of the list.  Each distinct one is enumerated
+once per cell, and its block is read off the positions of its generators.
+A segment on a window, times a prefix, is that prefixed window space's
+block cut at the position of prefix * m: the part above it (ideal) or
+below it (quotient).  Per monomial, the blocks of a segment's pieces must
+then tile the segment's slice exactly, an O(n + delta) interval check, and
+a window reduction must keep the segment's block.  This is a contract on
+the closed forms: a summand whose generators do not sit at consecutive
+positions in lex order is reported as a failure, even where a union of
+such pieces would still cover the slice.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add, ge, gt, le, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import duality, segments
-from .errors import NoPredecessorError, ResourceLimitError
+from .errors import InvalidInputError, NoPredecessorError, ResourceLimitError
 from .macaulay import (
     binom,
     ideal_growth_bound,
@@ -78,16 +81,22 @@ def _exponent_tuples(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _capped_window_tuples(n: int, lo: int, hi: int, degree: int, cap: int) -> list[tuple[int, ...]]:
-    """Full-length exponent tuples supported on [lo, hi], lex-descending, refusing more than cap."""
-    size = hi - lo + 1
-    dimension = space_dimension(size, degree)
+def _summand_tuples(summand: segments.Summand, cap: int) -> list[tuple[int, ...]]:
+    """Full-length exponent tuples of prefix times the window space, lex-descending.
+
+    Refuses more than cap tuples before building any.
+    """
+    degree, size = summand.degree, summand.window.size
+    if degree < 0:
+        return []
+    dimension = summand.dimension()
     if dimension > cap:
         raise ResourceLimitError(f"window space of dimension {dimension} exceeds the cap {cap}")
+    prefix, lo, hi = summand.prefix.exponents, summand.window.lo, summand.window.hi
     if size == 0:
-        return [(0,) * n] if degree == 0 else []
-    head, tail = (0,) * (lo - 1), (0,) * (n - hi)
-    return [head + t + tail for t in _exponent_tuples(size, degree)]
+        return [prefix] if degree == 0 else []
+    head, middle, tail = prefix[: lo - 1], prefix[lo - 1 : hi], prefix[hi:]
+    return [head + tuple(map(add, middle, t)) + tail for t in _exponent_tuples(size, degree)]
 
 
 def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Monomial, ...]:
@@ -98,37 +107,21 @@ def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> t
     return tuple(Monomial(t) for t in _exponent_tuples(n, delta))
 
 
-def enumerate_segment(seg: SegmentSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Monomial]:
-    """Generator list of a segment by direct filtering, lex-descending."""
-    window = _capped_window_tuples(seg.n, seg.window.lo, seg.window.hi, seg.delta, cap)
-    return [Monomial(t) for t in _segment_of(seg, window)]
+def enumerate_segment(seg: SegmentSpec) -> list[Monomial]:
+    """Generator list of a segment by direct filtering of its window space, lex-descending."""
+    window = _summand_tuples(
+        segments.Summand(Monomial.unit(seg.n), seg.window, seg.delta), DEFAULT_ENUMERATION_CAP
+    )
+    if seg.kind == IDEAL:
+        generates = ge if seg.inclusive else gt
+    else:
+        generates = le if seg.inclusive else lt
+    return [Monomial(t) for t in window if generates(t, seg.m.exponents)]
 
 
 def enumerate_summand(summand: segments.Summand) -> list[Monomial]:
     """Generators of one decomposition summand: prefix times its window space."""
-    if summand.degree < 0:
-        return []
-    window = summand.window
-    tails = _capped_window_tuples(
-        summand.prefix.n, window.lo, window.hi, summand.degree, DEFAULT_ENUMERATION_CAP
-    )
-    return [Monomial(t) for t in _prefixed(summand.prefix.exponents, tails)]
-
-
-def _segment_of(seg: SegmentSpec, window: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The tuples of seg's window listing that generate seg, by direct comparison with m."""
-    target = seg.m.exponents
-    if seg.kind == IDEAL:
-        if seg.inclusive:
-            return [t for t in window if t >= target]
-        return [t for t in window if t > target]
-    if seg.inclusive:
-        return [t for t in window if t <= target]
-    return [t for t in window if t < target]
-
-
-def _prefixed(prefix: tuple[int, ...], tails: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return [tuple(p + t for p, t in zip(prefix, tail)) for tail in tails]
+    return [Monomial(t) for t in _summand_tuples(summand, DEFAULT_ENUMERATION_CAP)]
 
 
 def _products(t: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -174,9 +167,10 @@ class _Cell:
     """Per-cell precomputation shared by all property checks.
 
     Segments are checked as slices of the cell's own enumerated lists:
-    `pos` and `next_pos` give each exponent tuple its lex position, and
-    window enumerations, decompositions and the position blocks of
-    summands and prefixed listings are memoized for the cell's lifetime.
+    `pos` and `next_pos` give each exponent tuple its lex position.
+    Decompositions and the position block of each summand or (prefixed)
+    window space are memoized for the cell's lifetime; segments are cuts
+    of those blocks, so no generator list outlives its block.
     """
 
     def __init__(self, n: int, delta: int, cap: int):
@@ -195,7 +189,6 @@ class _Cell:
         self.next_sorted = self.total_next == space_dimension(n, delta + 1) and all(
             a > b for a, b in zip(self.next_exps, self.next_exps[1:])
         )
-        self._windows: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
         self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
         self._decompositions: dict[int, tuple[Decomposition, Decomposition]] = {}
         self._blocks: dict[tuple, Optional[tuple[int, int]]] = {}
@@ -224,24 +217,6 @@ class _Cell:
             self._prefix_spans = (sizes, largest if complete else None)
         return self._prefix_spans
 
-    def window_tuples(self, n: int, lo: int, hi: int, degree: int) -> list[tuple[int, ...]]:
-        key = (n, lo, hi, degree)
-        if key not in self._windows:
-            self._windows[key] = _capped_window_tuples(n, lo, hi, degree, self.cap)
-        return self._windows[key]
-
-    def segment_tuples(self, seg: SegmentSpec) -> list[tuple[int, ...]]:
-        """enumerate_segment(seg) as raw exponent tuples."""
-        return _segment_of(seg, self.window_tuples(seg.n, seg.window.lo, seg.window.hi, seg.delta))
-
-    def summand_tuples(self, summand: segments.Summand) -> list[tuple[int, ...]]:
-        """enumerate_summand(summand) as raw exponent tuples."""
-        if summand.degree < 0:
-            return []
-        window = summand.window
-        tails = self.window_tuples(summand.prefix.n, window.lo, window.hi, summand.degree)
-        return _prefixed(summand.prefix.exponents, tails)
-
     def decompositions(self, k: int) -> tuple[Decomposition, Decomposition]:
         """decompose() of the k-th monomial's exclusive ideal and quotient segments."""
         if k not in self._decompositions:
@@ -266,31 +241,36 @@ class _Cell:
         for s in summands:
             key = (s.prefix.exponents, s.window.lo, s.window.hi, s.degree)
             if key not in self._blocks:
-                self._blocks[key] = self._block(self.summand_tuples(s))
+                self._blocks[key] = self._block(_summand_tuples(s, self.cap))
             if self._blocks[key] is None:
                 return None
             blocks.append(self._blocks[key])
         return blocks
 
-    def split_blocks(self, split: SplitResult) -> Optional[list[tuple[int, int]]]:
-        """Blocks of a split's summand and prefixed residual, or None when one fills no block."""
-        res = split.residual
-        pieces = [split.summand]
-        if res is not None:
-            pieces.append(segments.Summand(split.residual_prefix, res.window, res.delta))
-        blocks = self.summand_blocks(pieces)
-        if blocks is None or res is None:
-            return blocks
-        start, end = blocks.pop()
-        p = self.pos.get(_prefixed(split.residual_prefix.exponents, [res.m.exponents])[0])
+    def segment_block(self, seg: SegmentSpec, prefix: Monomial) -> Optional[tuple[int, int]]:
+        """The block of prefix times seg's generators, or None when there is none.
+
+        The block of prefix times seg's window space, cut at the position of
+        prefix * m: the listing above it (ideal) or below it (quotient).
+        """
+        blocks = self.summand_blocks([segments.Summand(prefix, seg.window, seg.delta)])
+        if blocks is None:
+            return None
+        ((start, end),) = blocks
+        p = self.pos.get(tuple(map(add, prefix.exponents, seg.m.exponents)))
         if p is None or not start <= p < end:
             return None
-        # the residual keeps the listing above (ideal) or below (quotient) its monomial
-        if res.kind == IDEAL:
-            blocks.append((start, p + res.inclusive))
-        else:
-            blocks.append((p + 1 - res.inclusive, end))
-        return blocks
+        if seg.kind == IDEAL:
+            return start, p + seg.inclusive
+        return p + 1 - seg.inclusive, end
+
+    def split_blocks(self, split: SplitResult) -> Optional[list[tuple[int, int]]]:
+        """Blocks of a split's summand and prefixed residual, or None when one fills no block."""
+        blocks = self.summand_blocks([split.summand])
+        if blocks is None or split.residual is None:
+            return blocks
+        residual = self.segment_block(split.residual, split.residual_prefix)
+        return None if residual is None else blocks + [residual]
 
 
 def _tiles(blocks: Optional[Sequence[tuple[int, int]]], lo: int, hi: int) -> bool:
@@ -552,14 +532,17 @@ def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
 
 
 def _prop_window_reduction(cell: _Cell) -> CheckResult:
+    """Raising a quotient segment's window floor to min(m) keeps its block."""
     failures = []
+    unit = Monomial.unit(cell.n)
     for m in cell.space:
         seg = quotient_segment(m)
         reduced = reduce_window(seg)
         if reduced.window.lo != m.min_index():
             failures.append(f"window floor wrong at m={m.to_csv()}")
             break
-        if cell.segment_tuples(seg) != cell.segment_tuples(reduced):
+        block = cell.segment_block(seg, unit)
+        if block is None or block != cell.segment_block(reduced, unit):
             failures.append(f"window reduction changed generators at m={m.to_csv()}")
             break
     return _check(cell.label, "window_reduction", failures, f"{cell.total} monomials")
@@ -749,6 +732,10 @@ def run_verification(
     uniqueness_max_p: int = 8,
 ) -> VerificationReport:
     """Full sweep: per-cell invariants, golden spot values, and rep uniqueness."""
+    if max_n < 1 or max_delta < 1:
+        raise InvalidInputError(
+            f"the sweep needs max_n >= 1 and max_delta >= 1, got {max_n} and {max_delta}"
+        )
     results: list[CheckResult] = []
     sampled = 0
     for n in range(1, max_n + 1):

@@ -132,6 +132,14 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "--set", "6,x,1", "--p", "6")
         assert code == 2 and "coefficient set" in err
 
+    @pytest.mark.parametrize(
+        "text", ["6,3,1_0", "+3,1", "6,3,\u0661"], ids=["underscore", "plus", "arabic-indic"]
+    )
+    def test_non_decimal_token_is_usage_error(self, capsys, text):
+        # int() alone would read these as 10, 3 and 1
+        code, out, err = run(capsys, "reconstruct", "--set", text, "--p", "6")
+        assert code == 2 and out == "" and "coefficient set" in err
+
 
 class TestRankUnrank:
     def test_rank(self, capsys):
@@ -208,6 +216,13 @@ class TestVerify:
         assert code == 0
         assert payload["result"]["failures"] == 0
         assert all(c["status"] == "ok" for c in payload["result"]["checks"])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-n", "0"), ("--max-n", "-2"), ("--max-delta", "0")]
+    )
+    def test_empty_grid_is_domain_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", flag, value)
+        assert code == 1 and out == "" and "max_n" in err
 
     def test_failures_exit_3(self, capsys, monkeypatch):
         broken = VerificationReport(

@@ -9,6 +9,7 @@ import pytest
 from conftest import mono
 from lexseg import oracle, segments
 from lexseg import (
+    InvalidInputError,
     Monomial,
     ResourceLimitError,
     SegmentSpec,
@@ -86,6 +87,16 @@ class TestEnumerateSegment:
         seg = SegmentSpec(QUOTIENT, mono("0,1,0,3,0,2"), VariableWindow(2, 6))
         assert len(enumerate_segment(seg)) == 99
 
+    def test_cap_enforced_before_enumerating(self, monkeypatch):
+        # the window space has C(59, 30) monomials: the cap must refuse before
+        # any tuple is built
+        def unreachable(*args):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(oracle, "_exponent_tuples", unreachable)
+        with pytest.raises(ResourceLimitError):
+            enumerate_segment(quotient_segment(Monomial((30,) + (0,) * 29)))
+
 
 class TestEnumerateSummand:
     def test_prefix_times_window(self):
@@ -113,6 +124,23 @@ class TestEnumerateSummand:
         monkeypatch.setattr(oracle, "_exponent_tuples", unreachable)
         with pytest.raises(ResourceLimitError):
             enumerate_summand(Summand(Monomial.unit(30), VariableWindow(1, 30), 30))
+
+
+class TestSegmentBlock:
+    @pytest.mark.parametrize("n, delta", [(n, d) for n in range(1, 6) for d in range(1, 6)])
+    def test_block_is_the_enumerated_segment(self, n, delta):
+        # every window a segment of m may sit on, both kinds and flags
+        cell = oracle._Cell(n, delta, oracle.DEFAULT_ENUMERATION_CAP)
+        unit = Monomial.unit(n)
+        for m in cell.space:
+            for lo in range(1, m.min_index() + 1):
+                for kind in (IDEAL, QUOTIENT):
+                    for inclusive in (False, True):
+                        seg = SegmentSpec(kind, m, VariableWindow(lo, n), inclusive)
+                        block = cell.segment_block(seg, unit)
+                        gens = enumerate_segment(seg)
+                        positions = [cell.pos[g.exponents] for g in gens]
+                        assert block is not None and list(range(*block)) == positions, seg
 
 
 class TestSpanMultiply:
@@ -179,6 +207,11 @@ class TestVerification:
     def test_uniqueness_small(self):
         results = check_macaulay_uniqueness(max_s=300, max_p=4)
         assert len(results) == 4 and all(r.ok for r in results)
+
+    @pytest.mark.parametrize("max_n, max_delta", [(0, 6), (-2, 6), (5, 0), (5, -1)])
+    def test_empty_grid_rejected(self, max_n, max_delta):
+        with pytest.raises(InvalidInputError):
+            run_verification(max_n=max_n, max_delta=max_delta)
 
     def test_report_shape(self):
         report = run_verification(max_n=2, max_delta=2, samples_per_cell=3)
