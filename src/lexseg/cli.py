@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -29,6 +30,17 @@ EXIT_VERIFY = 3
 
 class _UsageError(Exception):
     """Missing or inconsistent flags that argparse cannot express."""
+
+
+# int() alone would also read "1_0", "+3", " 3" and non-ASCII digits
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits, optionally after a minus sign."""
+    if not _DIGITS.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _segment_from_args(args: argparse.Namespace) -> segments.SegmentSpec:
@@ -52,10 +64,6 @@ def _segment_json(seg: segments.SegmentSpec) -> dict:
         "delta": seg.delta,
         "m": seg.m.to_csv(),
     }
-
-
-def _tuple_text(values) -> str:
-    return ",".join(str(v) for v in values)
 
 
 def _set_text(values) -> str:
@@ -128,7 +136,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     m = parse_monomial(args.m, args.n)
     s_rep = duality.ideal_coefficients(m)
     t_rep = duality.quotient_coefficients(m)
-    plain = f"S=({_tuple_text(s_rep)})\nT=({_tuple_text(t_rep)})"
+    plain = f"S=({s_rep})\nT=({t_rep})"
     result = {"S": list(s_rep.coefficients), "T": list(t_rep.coefficients)}
     _emit(args, {"m": m.to_csv()}, result, plain)
     return EXIT_OK
@@ -149,8 +157,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     tokens = [tok for tok in map(str.strip, args.set.split(",")) if tok]
-    # int() alone would also read "1_0", "+3" and non-ASCII digits
-    if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
+    if not all(_DIGITS.fullmatch(tok) for tok in tokens):
         raise _UsageError(f"bad coefficient set {args.set!r}")
     values = [int(tok) for tok in tokens]
     if args.source == segments.IDEAL:
@@ -190,8 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "input": {"max_n": args.max_n, "max_delta": args.max_delta, "seed": args.seed},
             "result": {
                 "checks": [
-                    {"cell": r.cell, "property": r.prop,
-                     "status": "ok" if r.ok else "FAIL", "detail": r.detail}
+                    {"cell": r.cell, "property": r.prop, "status": r.status, "detail": r.detail}
                     for r in report.results
                 ],
                 "failures": len(report.failures),
@@ -221,20 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
     json_only.add_argument("--json", action="store_true", help="emit a single JSON object")
     common = argparse.ArgumentParser(add_help=False, parents=[json_only])
     common.add_argument(
-        "--n", type=int, default=None,
+        "--n", type=_integer, default=None,
         help="variable count, required for letter-form monomials like a^2*b",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("macrep", parents=[json_only], help="Macaulay representation of an integer")
-    p.add_argument("s", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("s", type=_integer)
+    p.add_argument("p", type=_integer)
     p.set_defaults(func=_cmd_macrep)
 
     p = sub.add_parser("growth", parents=[common], help="sharp growth bound for the next degree")
     p.add_argument("--kind", choices=(segments.IDEAL, segments.QUOTIENT), required=True)
-    p.add_argument("--delta", type=int, default=None, help="degree (quotient bound)")
-    p.add_argument("s", type=int, help="current graded dimension")
+    p.add_argument("--delta", type=_integer, default=None, help="degree (quotient bound)")
+    p.add_argument("s", type=_integer, help="current graded dimension")
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("dim", parents=[common], help="dimension of a lex segment")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", parents=[json_only],
                        help="monomial from a coefficient set and universe top p")
     p.add_argument("--set", required=True, help="comma-separated coefficients, e.g. 6,3,1")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--from", dest="source", choices=(segments.IDEAL, segments.QUOTIENT),
                    default=segments.IDEAL)
     p.set_defaults(func=_cmd_reconstruct)
@@ -279,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("unrank", parents=[common], help="monomial at a given position")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--delta", type=_integer, required=True)
     p.set_defaults(func=_cmd_unrank)
 
     p = sub.add_parser("verify", parents=[json_only], help="run the brute-force verification sweep")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--max-delta", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=_integer, default=5)
+    p.add_argument("--max-delta", type=_integer, default=6)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -80,12 +80,6 @@ class MacaulayRep:
     def as_set(self) -> frozenset[int]:
         return frozenset(self.coefficients)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coefficients)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
 

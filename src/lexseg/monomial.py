@@ -21,7 +21,7 @@ from .errors import (
 )
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-_LETTER_TOKEN = re.compile(r"([a-z])(?:\^(\d+))?")
+_LETTER_TOKEN = re.compile(r"([a-z])(?:\^([0-9]+))?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +216,7 @@ def parse_monomial(text: str, n_hint: Optional[int] = None) -> Monomial:
     text = text.strip()
     if not text:
         raise MonomialParseError("empty monomial text", 0)
-    if text[0].isdigit() or text[0] == "-":
+    if text[0] in "-0123456789":
         return _parse_csv(text, n_hint)
     return _parse_letters(text, n_hint)
 
@@ -226,7 +226,7 @@ def _parse_csv(text: str, n_hint: Optional[int]) -> Monomial:
     offset = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not re.fullmatch(r"\d+", stripped):
+        if not re.fullmatch(r"[0-9]+", stripped):
             raise MonomialParseError(f"expected a nonnegative integer, got {stripped!r}", offset)
         exps.append(int(stripped))
         offset += len(token) + 1

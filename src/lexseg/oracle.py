@@ -10,7 +10,8 @@ The public surface: `enumerate_space` (a graded piece as a lex-descending
 tuple), `enumerate_segment` and `enumerate_summand` (generator lists), each
 raising ResourceLimitError above the enumeration cap, then `check_cell` (one
 cell) and `run_verification` (the sweep).  Both generator lists come from
-one capped enumerator of prefix times a window space.
+one capped enumerator of prefix times a window space.  The cap is the
+constant DEFAULT_ENUMERATION_CAP; only `enumerate_space` takes another.
 
 An ideal segment is a prefix of the cell's lex-descending list of degree-delta
 monomials and a quotient segment a suffix, so each segment check compares
@@ -81,17 +82,19 @@ def _exponent_tuples(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _summand_tuples(summand: segments.Summand, cap: int) -> list[tuple[int, ...]]:
+def _summand_tuples(summand: segments.Summand) -> list[tuple[int, ...]]:
     """Full-length exponent tuples of prefix times the window space, lex-descending.
 
-    Refuses more than cap tuples before building any.
+    Refuses more than DEFAULT_ENUMERATION_CAP tuples before building any.
     """
     degree, size = summand.degree, summand.window.size
     if degree < 0:
         return []
     dimension = summand.dimension()
-    if dimension > cap:
-        raise ResourceLimitError(f"window space of dimension {dimension} exceeds the cap {cap}")
+    if dimension > DEFAULT_ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"window space of dimension {dimension} exceeds the cap {DEFAULT_ENUMERATION_CAP}"
+        )
     prefix, lo, hi = summand.prefix.exponents, summand.window.lo, summand.window.hi
     if size == 0:
         return [prefix] if degree == 0 else []
@@ -109,9 +112,7 @@ def enumerate_space(n: int, delta: int, cap: int = DEFAULT_ENUMERATION_CAP) -> t
 
 def enumerate_segment(seg: SegmentSpec) -> list[Monomial]:
     """Generator list of a segment by direct filtering of its window space, lex-descending."""
-    window = _summand_tuples(
-        segments.Summand(Monomial.unit(seg.n), seg.window, seg.delta), DEFAULT_ENUMERATION_CAP
-    )
+    window = _summand_tuples(segments.Summand(Monomial.unit(seg.n), seg.window, seg.delta))
     if seg.kind == IDEAL:
         generates = ge if seg.inclusive else gt
     else:
@@ -121,7 +122,7 @@ def enumerate_segment(seg: SegmentSpec) -> list[Monomial]:
 
 def enumerate_summand(summand: segments.Summand) -> list[Monomial]:
     """Generators of one decomposition summand: prefix times its window space."""
-    return [Monomial(t) for t in _summand_tuples(summand, DEFAULT_ENUMERATION_CAP)]
+    return [Monomial(t) for t in _summand_tuples(summand)]
 
 
 def _products(t: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -141,9 +142,12 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
+    @property
+    def status(self) -> str:
+        return "ok" if self.ok else "FAIL"
+
     def as_line(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        return f"cell={self.cell} property={self.prop} status={status} detail={self.detail}"
+        return f"cell={self.cell} property={self.prop} status={self.status} detail={self.detail}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,16 +177,15 @@ class _Cell:
     of those blocks, so no generator list outlives its block.
     """
 
-    def __init__(self, n: int, delta: int, cap: int):
+    def __init__(self, n: int, delta: int):
         self.n = n
         self.delta = delta
-        self.cap = cap
         self.label = f"({n},{delta})"
-        self.space = enumerate_space(n, delta, cap)
+        self.space = enumerate_space(n, delta)
         self.exps = [m.exponents for m in self.space]
         self.total = len(self.exps)
         self.pos = {t: k for k, t in enumerate(self.exps)}
-        self.next_exps = [m.exponents for m in enumerate_space(n, delta + 1, cap)]
+        self.next_exps = [m.exponents for m in enumerate_space(n, delta + 1)]
         self.next_pos = {t: k for k, t in enumerate(self.next_exps)}
         self.total_next = len(self.next_exps)
         # premise of reading a next-degree segment as a slice of next_exps
@@ -192,6 +195,14 @@ class _Cell:
         self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
         self._decompositions: dict[int, tuple[Decomposition, Decomposition]] = {}
         self._blocks: dict[tuple, Optional[tuple[int, int]]] = {}
+
+    def fail(self, prop: str, message: str) -> CheckResult:
+        return CheckResult(self.label, prop, False, message)
+
+    def passed(self, prop: str, detail: Optional[str] = None) -> CheckResult:
+        if detail is None:
+            detail = f"{self.total} monomials"
+        return CheckResult(self.label, prop, True, detail)
 
     def prefix_spans(self) -> tuple[list[int], Optional[list[int]]]:
         """Size and largest next-degree position of span(S_1 * first j monomials), j = 0..total.
@@ -241,7 +252,7 @@ class _Cell:
         for s in summands:
             key = (s.prefix.exponents, s.window.lo, s.window.hi, s.degree)
             if key not in self._blocks:
-                self._blocks[key] = self._block(_summand_tuples(s, self.cap))
+                self._blocks[key] = self._block(_summand_tuples(s))
             if self._blocks[key] is None:
                 return None
             blocks.append(self._blocks[key])
@@ -299,10 +310,9 @@ def check_cell(
     delta: int,
     rng: Optional[random.Random] = None,
     samples: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[CheckResult]:
     """Run every per-cell invariant for one (n, delta) cell."""
-    cell = _Cell(n, delta, cap)
+    cell = _Cell(n, delta)
     results = [
         _prop_enumeration_order(cell),
         _prop_predecessor_adjacency(cell),
@@ -326,32 +336,32 @@ def check_cell(
 
 
 def _prop_enumeration_order(cell: _Cell) -> CheckResult:
-    failures = []
-    if cell.total != space_dimension(cell.n, cell.delta):
-        failures.append(f"count {cell.total} != formula {space_dimension(cell.n, cell.delta)}")
+    prop = "enumeration_order"
+    formula = space_dimension(cell.n, cell.delta)
+    if cell.total != formula:
+        return cell.fail(prop, f"count {cell.total} != formula {formula}")
     for k in range(1, cell.total):
         if not cell.exps[k - 1] > cell.exps[k]:
-            failures.append(f"order violated at position {k}")
-            break
-    return _check(cell.label, "enumeration_order", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"order violated at position {k}")
+    return cell.passed(prop)
 
 
 def _prop_predecessor_adjacency(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "predecessor_adjacency"
     try:
         cell.space[0].predecessor()
-        failures.append("lex-largest monomial produced a predecessor")
     except NoPredecessorError:
         pass
+    else:
+        return cell.fail(prop, "lex-largest monomial produced a predecessor")
     for k in range(1, cell.total):
         if cell.space[k].predecessor().exponents != cell.exps[k - 1]:
-            failures.append(f"predecessor mismatch at position {k}")
-            break
-    return _check(cell.label, "predecessor_adjacency", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"predecessor mismatch at position {k}")
+    return cell.passed(prop)
 
 
 def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "segment_dimensions"
     total = cell.total
     for k, m in enumerate(cell.space):
         ideal_dim = segment_dimension(ideal_segment(m))
@@ -364,108 +374,103 @@ def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
             ideal_dim + quot_dim + 1 == total,
         )
         if not all(checks):
-            failures.append(f"dimension mismatch at m={m.to_csv()}")
-            break
-    return _check(cell.label, "segment_dimensions", failures, f"{total} monomials")
+            return cell.fail(prop, f"dimension mismatch at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
     """The summands of each segment's decomposition partition its slice."""
-    failures = []
+    prop = "decomposition_partition"
     for k, m in enumerate(cell.space):
         for deco, lo, hi in zip(cell.decompositions(k), (0, k + 1), (k, cell.total)):
             if not _tiles(cell.summand_blocks(deco.summands), lo, hi):
-                failures.append(f"{deco.kind} partition broken at m={m.to_csv()}")
-                break
-        if failures:
-            break
-    return _check(cell.label, "decomposition_partition", failures, f"{cell.total} monomials")
+                return cell.fail(prop, f"{deco.kind} partition broken at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_split_agreement(cell: _Cell) -> CheckResult:
     """A one-step split's summand and prefixed residual partition the segment's slice."""
-    failures = []
+    prop = "split_agreement"
     for k, m in enumerate(cell.space):
         for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
             if not _tiles(cell.split_blocks(split_once(seg)), lo, hi):
-                failures.append(f"split mismatch for {seg.kind} at m={m.to_csv()}")
-                break
-        if failures:
-            break
-    return _check(cell.label, "split_agreement", failures, f"{cell.total} monomials")
+                return cell.fail(prop, f"split mismatch for {seg.kind} at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "coefficient_dimensions"
     for k, m in enumerate(cell.space):
         if duality.ideal_coefficients(m).value() != k:
-            failures.append(f"ideal coefficients wrong at m={m.to_csv()}")
-            break
+            return cell.fail(prop, f"ideal coefficients wrong at m={m.to_csv()}")
         if duality.quotient_coefficients(m).value() != cell.total - k - 1:
-            failures.append(f"quotient coefficients wrong at m={m.to_csv()}")
-            break
-    return _check(cell.label, "coefficient_dimensions", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"quotient coefficients wrong at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_set_partition(cell: _Cell) -> CheckResult:
-    failures = []
+    """The paper's theorem: the two coefficient sets partition {0, ..., n + delta - 2}."""
+    prop = "set_partition"
+    ideal, quotient = duality.ideal_coefficients, duality.quotient_coefficients
+    universe = frozenset(range(cell.n + cell.delta - 1))
     for m in cell.space:
         try:
-            duality.coefficient_sets(m)
+            sets = duality.coefficient_sets(m)
         except Exception as exc:  # any invariant breach is a failure
-            failures.append(f"partition failed at m={m.to_csv()}: {exc}")
-            break
-    return _check(cell.label, "set_partition", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"partition failed at m={m.to_csv()}: {exc}")
+        s, t = sets.ideal_set, sets.quotient_set
+        if (s, t) != (ideal(m).as_set(), quotient(m).as_set()):
+            return cell.fail(prop, f"sets differ from the coefficient tuples at m={m.to_csv()}")
+        if (len(s), len(t)) != (cell.n - 1, cell.delta) or s & t or s | t != universe:
+            return cell.fail(prop, f"sets do not partition the universe at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_bijection(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "bijection"
     universe = frozenset(range(cell.n + cell.delta - 1))
     images = set()
     for m in cell.space:
         s = duality.ideal_coefficients(m).as_set()
         if len(s) != cell.n - 1 or not s <= universe:
-            failures.append(f"image not an (n-1)-subset at m={m.to_csv()}")
-            break
+            return cell.fail(prop, f"image not an (n-1)-subset at m={m.to_csv()}")
         images.add(s)
     expected = binom(cell.n + cell.delta - 1, cell.n - 1)
-    if not failures and len(images) != cell.total:
-        failures.append(f"map not injective: {len(images)} images for {cell.total} monomials")
-    if not failures and len(images) != expected:
-        failures.append(f"image count {len(images)} != subset count {expected}")
-    return _check(cell.label, "bijection", failures, f"{cell.total} monomials")
+    if len(images) != cell.total:
+        return cell.fail(
+            prop, f"map not injective: {len(images)} images for {cell.total} monomials"
+        )
+    if len(images) != expected:
+        return cell.fail(prop, f"image count {len(images)} != subset count {expected}")
+    return cell.passed(prop)
 
 
 def _prop_reconstruction_roundtrip(cell: _Cell) -> CheckResult:
+    prop = "reconstruction_roundtrip"
     if cell.n == 1:
-        return CheckResult(cell.label, "reconstruction_roundtrip", True, "skipped: needs n >= 2")
-    failures = []
+        return cell.passed(prop, "skipped: needs n >= 2")
     p = cell.n + cell.delta - 2
     for m in cell.space:
         s = duality.ideal_coefficients(m).as_set()
         t = duality.quotient_coefficients(m).as_set()
         if duality.reconstruct_from_ideal_set(s, p) != m:
-            failures.append(f"ideal-set reconstruction broken at m={m.to_csv()}")
-            break
+            return cell.fail(prop, f"ideal-set reconstruction broken at m={m.to_csv()}")
         if duality.reconstruct_from_quotient_set(t, p) != m:
-            failures.append(f"quotient-set reconstruction broken at m={m.to_csv()}")
-            break
-    return _check(cell.label, "reconstruction_roundtrip", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"quotient-set reconstruction broken at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_rank_unrank(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "rank_unrank"
     total = cell.total
     for k, m in enumerate(cell.space):
         q = duality.rank(m)
         q_from_quotient = total - duality.quotient_coefficients(m).value()
         if q != k + 1 or q_from_quotient != q:
-            failures.append(f"rank mismatch at m={m.to_csv()}")
-            break
+            return cell.fail(prop, f"rank mismatch at m={m.to_csv()}")
         if duality.unrank(q, cell.n, cell.delta) != m:
-            failures.append(f"unrank mismatch at q={q}")
-            break
-    return _check(cell.label, "rank_unrank", failures, f"{total} monomials")
+            return cell.fail(prop, f"unrank mismatch at q={q}")
+    return cell.passed(prop)
 
 
 def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
@@ -480,11 +485,10 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
     fails, and so does the whole property when next_exps is not sorted or
     misses a product.
     """
+    prop = "multiplication_agreement"
     sizes, largest = cell.prefix_spans()
     if not cell.next_sorted or largest is None:
-        failures = [f"degree {cell.delta + 1} listing is unsorted or incomplete"]
-        return _check(cell.label, "multiplication_agreement", failures, "")
-    failures = []
+        return cell.fail(prop, f"degree {cell.delta + 1} listing is unsorted or incomplete")
     for k, m in enumerate(cell.space):
         for seg in (
             ideal_segment(m),
@@ -506,46 +510,39 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
                 and largest[k + e] < p + e
             )
             if not agrees:
-                failures.append(
-                    f"{seg.kind} inclusive={seg.inclusive} multiplication off at m={m.to_csv()}"
+                return cell.fail(
+                    prop,
+                    f"{seg.kind} inclusive={seg.inclusive} multiplication off at m={m.to_csv()}",
                 )
-                break
-        if failures:
-            break
-    return _check(cell.label, "multiplication_agreement", failures, f"{cell.total} monomials")
+    return cell.passed(prop)
 
 
 def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
-    failures = []
+    prop = "multiply_decomposition_dims"
     for k, m in enumerate(cell.space):
         for seg, deco in zip((ideal_segment(m), quotient_segment(m)), cell.decompositions(k)):
             got = multiply_decomposition(deco).dimension()
             want = segment_dimension(multiply_segment(seg))
             if got != want:
-                failures.append(
-                    f"{seg.kind} multiplied decomposition {got} != {want} at m={m.to_csv()}"
+                return cell.fail(
+                    prop, f"{seg.kind} multiplied decomposition {got} != {want} at m={m.to_csv()}"
                 )
-                break
-        if failures:
-            break
-    return _check(cell.label, "multiply_decomposition_dims", failures, f"{cell.total} monomials")
+    return cell.passed(prop)
 
 
 def _prop_window_reduction(cell: _Cell) -> CheckResult:
     """Raising a quotient segment's window floor to min(m) keeps its block."""
-    failures = []
+    prop = "window_reduction"
     unit = Monomial.unit(cell.n)
     for m in cell.space:
         seg = quotient_segment(m)
         reduced = reduce_window(seg)
         if reduced.window.lo != m.min_index():
-            failures.append(f"window floor wrong at m={m.to_csv()}")
-            break
+            return cell.fail(prop, f"window floor wrong at m={m.to_csv()}")
         block = cell.segment_block(seg, unit)
         if block is None or block != cell.segment_block(reduced, unit):
-            failures.append(f"window reduction changed generators at m={m.to_csv()}")
-            break
-    return _check(cell.label, "window_reduction", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"window reduction changed generators at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
@@ -554,9 +551,9 @@ def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
     Multiplying by x_1 keeps the ideal set and adds n + delta - 1 to the
     quotient set; shifting every index up by one does the opposite.
     """
+    prop = "shift_inheritance"
     ideal, quotient = duality.ideal_coefficients, duality.quotient_coefficients
     newcomer = cell.n + cell.delta - 1
-    failures = []
     for m in cell.space:
         s_set, t_set = ideal(m).as_set(), quotient(m).as_set()
         x1m, shifted = m.times_var(1), m.shift(1)
@@ -568,38 +565,33 @@ def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
         )
         broken = [name for name, got, want in identities if got != want]
         if broken:
-            failures.append(f"{broken[0]} at m={m.to_csv()}")
-            break
-    return _check(cell.label, "shift_inheritance", failures, f"{cell.total} monomials")
+            return cell.fail(prop, f"{broken[0]} at m={m.to_csv()}")
+    return cell.passed(prop)
 
 
 def _prop_growth_formula_lex(cell: _Cell) -> CheckResult:
     """Sharpness: the growth transforms reproduce lex-segment spans exactly."""
-    failures = []
+    prop = "growth_formula_lex"
     sizes, _ = cell.prefix_spans()
     for k in range(cell.total + 1):
         if cell.n >= 2 and ideal_growth_bound(k, cell.n) != sizes[k]:
-            failures.append(f"ideal growth formula != span at segment size {k}")
-            break
+            return cell.fail(prop, f"ideal growth formula != span at segment size {k}")
         if quotient_growth_bound(cell.total - k, cell.delta) != cell.total_next - sizes[k]:
-            failures.append(f"quotient growth formula != complement at segment size {k}")
-            break
-    return _check(cell.label, "growth_formula_lex", failures, f"{cell.total + 1} segment sizes")
+            return cell.fail(prop, f"quotient growth formula != complement at segment size {k}")
+    return cell.passed(prop, f"{cell.total + 1} segment sizes")
 
 
 def _prop_growth_bound_random(cell: _Cell, rng: random.Random, samples: int) -> CheckResult:
-    failures = []
+    prop = "growth_bound_random"
     for _ in range(samples):
         size = rng.randint(0, cell.total)
         picks = rng.sample(range(cell.total), size)
         grown = len({u for k in picks for u in _products(cell.exps[k])})
         if cell.n >= 2 and grown < ideal_growth_bound(size, cell.n):
-            failures.append(f"ideal lower bound violated by a {size}-generator sample")
-            break
+            return cell.fail(prop, f"ideal lower bound violated by a {size}-generator sample")
         if cell.total_next - grown > quotient_growth_bound(cell.total - size, cell.delta):
-            failures.append(f"quotient upper bound violated by a {size}-generator sample")
-            break
-    return _check(cell.label, "growth_bound_random", failures, f"samples={samples}")
+            return cell.fail(prop, f"quotient upper bound violated by a {size}-generator sample")
+    return cell.passed(prop, f"samples={samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +719,6 @@ def run_verification(
     max_delta: int = 6,
     seed: int = 0,
     samples_per_cell: int = 35,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     uniqueness_budget: int = 5000,
     uniqueness_max_p: int = 8,
 ) -> VerificationReport:
@@ -741,7 +732,7 @@ def run_verification(
     for n in range(1, max_n + 1):
         for delta in range(1, max_delta + 1):
             rng = random.Random(seed * 1_000_003 + n * 1_000 + delta)
-            results.extend(check_cell(n, delta, rng=rng, samples=samples_per_cell, cap=cap))
+            results.extend(check_cell(n, delta, rng=rng, samples=samples_per_cell))
             sampled += samples_per_cell
     results.extend(check_golden_values())
     results.extend(check_macaulay_uniqueness(uniqueness_budget, uniqueness_max_p))

@@ -74,12 +74,12 @@ class SegmentSpec:
         return SegmentSpec(self.kind, mono, self.window, inclusive=False)
 
 
-def ideal_segment(m: Monomial, inclusive: bool = False, lo: int = 1) -> SegmentSpec:
-    return SegmentSpec(IDEAL, m, VariableWindow(lo, m.n), inclusive)
+def ideal_segment(m: Monomial, inclusive: bool = False) -> SegmentSpec:
+    return SegmentSpec(IDEAL, m, VariableWindow(1, m.n), inclusive)
 
 
-def quotient_segment(m: Monomial, inclusive: bool = False, lo: int = 1) -> SegmentSpec:
-    return SegmentSpec(QUOTIENT, m, VariableWindow(lo, m.n), inclusive)
+def quotient_segment(m: Monomial, inclusive: bool = False) -> SegmentSpec:
+    return SegmentSpec(QUOTIENT, m, VariableWindow(1, m.n), inclusive)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,12 +206,12 @@ def segment_dimension(seg: SegmentSpec) -> int:
 
     The exclusive one is the Macaulay value of the coefficients of m on [lo, n].
     """
-    if seg.inclusive:
-        return segment_dimension(replace(seg, inclusive=False)) + 1
     restricted = Monomial(seg.m.exponents[seg.window.lo - 1:])
     if seg.kind == IDEAL:
-        return duality.ideal_coefficients(restricted).value()
-    return duality.quotient_coefficients(restricted).value()
+        exclusive = duality.ideal_coefficients(restricted).value()
+    else:
+        exclusive = duality.quotient_coefficients(restricted).value()
+    return exclusive + seg.inclusive
 
 
 def multiply_segment(seg: SegmentSpec) -> SegmentSpec:

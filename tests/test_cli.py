@@ -1,6 +1,9 @@
 """Command-line surface: output formats, flags, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +11,22 @@ from lexseg import cli
 from lexseg.oracle import CheckResult, VerificationReport
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to_exit(capsys, *argv):
+    """Like run, but an argparse usage error gives its exit code instead of raising."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 class TestDim:
@@ -188,6 +203,52 @@ class TestErrors:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "--n" in captured.err
+
+
+class TestIntegerTokens:
+    """Every integer the CLI reads is ASCII digits, a minus sign at most in front."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["macrep", "1_14", "6"],
+            ["macrep", "+114", "6"],
+            ["unrank", "--q", "3_63", "--n", "6", "--delta", "8"],
+            ["reconstruct", "--set", "6,3,1", "--p", "+6"],
+            ["dim", "--kind", "ideal", "--m", "2,\u0661,0,3,0,2"],
+            ["dim", "--kind", "ideal", "--m", "a^\u0662*b", "--n", "3"],
+            ["verify", "--max-n", "\u0662"],
+            ["growth", "--kind", "ideal", "--n", " 6", "362"],
+        ],
+        ids=["underscore", "plus", "unrank-underscore", "reconstruct-plus",
+             "csv-arabic-indic", "letters-arabic-indic", "verify-arabic-indic", "space"],
+    )
+    def test_non_ascii_decimal_is_usage_error(self, capsys, argv):
+        # int() alone would read each of these as a valid number
+        code, out, _ = run_to_exit(capsys, *argv)
+        assert code == 2 and out == ""
+
+
+class TestReadme:
+    # the comments on these lines describe the output rather than state it
+    DESCRIBED = ("decompose", "multiply", "coeffs")
+
+    def test_cli_block_runs_and_its_results_hold(self, capsys):
+        text = README.read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+        lines = block.splitlines()
+        assert len(lines) == 12
+        stated = 0
+        for line in lines:
+            command, comment = (part.strip() for part in line.split("#", 1))
+            prog, *argv = shlex.split(command)
+            assert prog == "lexseg", line
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (line, err)
+            if argv[0] not in self.DESCRIBED:
+                assert out == comment + "\n", line
+                stated += 1
+        assert stated == 9
 
 
 class TestDeterminism:

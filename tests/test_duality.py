@@ -38,7 +38,7 @@ def graded_piece(n, degree):
 
 def shift_inheritance(n, delta):
     """The oracle's shift_inheritance property on one (n, delta) cell."""
-    return oracle._prop_shift_inheritance(oracle._Cell(n, delta, oracle.DEFAULT_ENUMERATION_CAP))
+    return oracle._prop_shift_inheritance(oracle._Cell(n, delta))
 
 
 class TestIdealCoefficients:

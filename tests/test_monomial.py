@@ -267,3 +267,17 @@ class TestTextForms:
     def test_empty_rejected(self):
         with pytest.raises(MonomialParseError):
             parse_monomial("  ")
+
+    @pytest.mark.parametrize(
+        "text, n_hint",
+        [
+            ("2,\u0661,0", None),  # ARABIC-INDIC DIGIT ONE inside the vector
+            ("\u0662,1,0", None),  # ... and in first place
+            ("a^\u0662*b", 3),
+            ("\uff12,1", None),  # FULLWIDTH DIGIT TWO
+        ],
+    )
+    def test_only_ascii_digits_are_read(self, text, n_hint):
+        # int() reads these non-ASCII digits as 1 and 2
+        with pytest.raises(MonomialParseError):
+            parse_monomial(text, n_hint)

@@ -3,11 +3,12 @@
 import gc
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import mono
-from lexseg import oracle, segments
+from lexseg import duality, macaulay, oracle, segments
 from lexseg import (
     InvalidInputError,
     Monomial,
@@ -130,7 +131,7 @@ class TestSegmentBlock:
     @pytest.mark.parametrize("n, delta", [(n, d) for n in range(1, 6) for d in range(1, 6)])
     def test_block_is_the_enumerated_segment(self, n, delta):
         # every window a segment of m may sit on, both kinds and flags
-        cell = oracle._Cell(n, delta, oracle.DEFAULT_ENUMERATION_CAP)
+        cell = oracle._Cell(n, delta)
         unit = Monomial.unit(n)
         for m in cell.space:
             for lo in range(1, m.min_index() + 1):
@@ -151,7 +152,7 @@ class TestSpanMultiply:
         # frozen against enumeration: the 362-dim segment spans 653 products
         gens = [g.exponents for g in enumerate_segment(ideal_segment(M68))]
         span = {u for t in gens for u in oracle._products(t)}
-        sizes, _ = oracle._Cell(6, 8, oracle.DEFAULT_ENUMERATION_CAP).prefix_spans()
+        sizes, _ = oracle._Cell(6, 8).prefix_spans()
         assert len(gens) == 362 and sizes[362] == len(span) == 653
         product = enumerate_segment(ideal_segment(mono("2,1,0,3,0,3")))
         assert span == {g.exponents for g in product}
@@ -159,12 +160,12 @@ class TestSpanMultiply:
 
 class TestHilbertNext:
     def test_full_piece(self):
-        cell = oracle._Cell(3, 2, oracle.DEFAULT_ENUMERATION_CAP)
+        cell = oracle._Cell(3, 2)
         grown = cell.prefix_spans()[0][cell.total]
         assert (grown, cell.total_next - grown) == (10, 0)
 
     def test_empty_sample(self):
-        cell = oracle._Cell(3, 2, oracle.DEFAULT_ENUMERATION_CAP)
+        cell = oracle._Cell(3, 2)
         grown = cell.prefix_spans()[0][0]
         assert (grown, cell.total_next - grown) == (0, 10)
 
@@ -294,6 +295,18 @@ def _reduce_window_keeping_m(seg):
     return replace(segments.reduce_window(seg), inclusive=True)
 
 
+def _space_dimension_plus_one(window_size, degree):
+    return macaulay.space_dimension(window_size, degree) + 1
+
+
+def _segment_dimension_plus_one(seg):
+    return segments.segment_dimension(seg) + 1
+
+
+def _quotient_growth_bound_plus_one(s, delta):
+    return macaulay.quotient_growth_bound(s, delta) + 1
+
+
 FAULTS = [
     ("multiply_segment", _multiply_by_last, "multiplication_agreement"),
     ("multiply_segment", _multiply_then_include, "multiplication_agreement"),
@@ -305,6 +318,44 @@ FAULTS = [
     ("split_once", _split_residual_inclusive, "split_agreement"),
     ("split_once", _split_ideal_residual_inclusive, "split_agreement"),
     ("decompose", _decompose_drop_last, "multiply_decomposition_dims"),
+    ("space_dimension", _space_dimension_plus_one, "enumeration_order"),
+    ("segment_dimension", _segment_dimension_plus_one, "segment_dimensions"),
+    ("quotient_growth_bound", _quotient_growth_bound_plus_one, "growth_formula_lex"),
+]
+
+_ideal_coefficients = duality.ideal_coefficients
+_quotient_coefficients = duality.quotient_coefficients
+
+
+def _predecessor_is_self(m):
+    return m
+
+
+def _quotient_coefficients_reversed(m):
+    return _quotient_coefficients(Monomial(m.exponents[::-1]))
+
+
+def _ideal_coefficients_of_pure_power(m):
+    return _ideal_coefficients(Monomial((m.degree,) + (0,) * (m.n - 1)))
+
+
+def _reconstruct_times_x1(values, p, original=duality.reconstruct_from_quotient_set):
+    return original(values, p).times_var(1)
+
+
+def _unrank_one_early(q, n, delta, original=duality.unrank):
+    # unrank(q - 1) would raise at q = 1 rather than answer wrongly
+    return original(max(q - 1, 1), n, delta)
+
+
+# wrong closed forms the oracle reaches through duality or Monomial, not its
+# own namespace
+PATCHES = [
+    (Monomial, "predecessor", _predecessor_is_self, "predecessor_adjacency"),
+    (duality, "quotient_coefficients", _quotient_coefficients_reversed, "coefficient_dimensions"),
+    (duality, "ideal_coefficients", _ideal_coefficients_of_pure_power, "bijection"),
+    (duality, "reconstruct_from_quotient_set", _reconstruct_times_x1, "reconstruction_roundtrip"),
+    (duality, "unrank", _unrank_one_early, "rank_unrank"),
 ]
 
 
@@ -315,6 +366,43 @@ class TestFaultInjection:
     def test_fault_is_reported(self, monkeypatch, name, fault, prop):
         monkeypatch.setattr(oracle, name, fault)
         result = _status(prop)
+        assert not result.ok, result.as_line()
+
+    @pytest.mark.parametrize("owner, name, fault, prop", PATCHES, ids=[p[3] for p in PATCHES])
+    def test_patched_fault_is_reported(self, monkeypatch, owner, name, fault, prop):
+        monkeypatch.setattr(owner, name, fault)
+        result = _status(prop)
+        assert not result.ok, result.as_line()
+
+    def test_sets_that_are_not_the_tuples_are_reported(self, monkeypatch):
+        # the partition holds for the coefficient tuples, not for whatever
+        # coefficient_sets returns: two empty sets must not pass
+        empty = SimpleNamespace(ideal_set=frozenset(), quotient_set=frozenset())
+        monkeypatch.setattr(duality, "coefficient_sets", lambda m: empty)
+        result = _status("set_partition")
+        assert not result.ok and "coefficient tuples" in result.detail, result.as_line()
+
+    def test_sets_that_overlap_are_reported(self, monkeypatch):
+        # wrong tuples, and sets built from them without CoefficientSets'
+        # own validation: the property itself must see the overlap
+        monkeypatch.setattr(duality, "quotient_coefficients", _quotient_coefficients_reversed)
+        monkeypatch.setattr(
+            duality,
+            "coefficient_sets",
+            lambda m: SimpleNamespace(
+                ideal_set=duality.ideal_coefficients(m).as_set(),
+                quotient_set=duality.quotient_coefficients(m).as_set(),
+            ),
+        )
+        result = _status("set_partition")
+        assert not result.ok and "do not partition" in result.detail, result.as_line()
+
+    def test_growth_bound_violation_is_reported(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "ideal_growth_bound", lambda s, n: macaulay.ideal_growth_bound(s, n) + 10**6
+        )
+        results = check_cell(3, 3, rng=random.Random(3), samples=5)
+        (result,) = [r for r in results if r.prop == "growth_bound_random"]
         assert not result.ok, result.as_line()
 
     def test_summand_off_block_is_reported(self, monkeypatch):
@@ -339,9 +427,9 @@ class TestFaultInjection:
     def test_next_degree_listing_premise_is_reported(self):
         # products are read as slices of the next degree's listing, so a
         # listing that is unsorted or misses a product fails the property
-        unsorted = oracle._Cell(3, 3, oracle.DEFAULT_ENUMERATION_CAP)
+        unsorted = oracle._Cell(3, 3)
         unsorted.next_sorted = False
-        incomplete = oracle._Cell(3, 3, oracle.DEFAULT_ENUMERATION_CAP)
+        incomplete = oracle._Cell(3, 3)
         incomplete._prefix_spans = (incomplete.prefix_spans()[0], None)
         for cell in (unsorted, incomplete):
             assert not oracle._prop_multiplication_agreement(cell).ok
