@@ -156,7 +156,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    tokens = [tok for tok in map(str.strip, args.set.split(",")) if tok]
+    tokens = [tok.strip() for tok in args.set.split(",")]
     if not all(_DIGITS.fullmatch(tok) for tok in tokens):
         raise _UsageError(f"bad coefficient set {args.set!r}")
     values = [int(tok) for tok in tokens]
@@ -192,26 +192,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = oracle.run_verification(
         max_n=args.max_n, max_delta=args.max_delta, seed=args.seed
     )
-    if args.json:
-        payload = {
-            "input": {"max_n": args.max_n, "max_delta": args.max_delta, "seed": args.seed},
-            "result": {
-                "checks": [
-                    {"cell": r.cell, "property": r.prop, "status": r.status, "detail": r.detail}
-                    for r in report.results
-                ],
-                "failures": len(report.failures),
-                "random_samples": report.random_samples,
-            },
-        }
-        print(json.dumps(payload))
-    else:
-        for line in report.lines():
-            print(line)
-        print(
-            f"summary checks={len(report.results)} failures={len(report.failures)} "
-            f"seed={args.seed} random_samples={report.random_samples}"
-        )
+    summary = (
+        f"summary checks={len(report.results)} failures={len(report.failures)} "
+        f"seed={args.seed} random_samples={report.random_samples}"
+    )
+    result = {
+        "checks": [
+            {"cell": r.cell, "property": r.prop, "status": r.status, "detail": r.detail}
+            for r in report.results
+        ],
+        "failures": len(report.failures),
+        "random_samples": report.random_samples,
+    }
+    _emit(
+        args,
+        {"max_n": args.max_n, "max_delta": args.max_delta, "seed": args.seed},
+        result,
+        "\n".join([*report.lines(), summary]),
+    )
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

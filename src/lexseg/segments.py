@@ -3,10 +3,11 @@
 The ideal segment of m spans the degree-delta monomials strictly lex-larger
 than m; the quotient segment spans those strictly lex-smaller.  Both split
 into direct sums of shifted monomial spaces, which turns dimension counting
-into sums of binomials.  The dimension is read off the Macaulay coefficient
-tuple (see `duality`) of m restricted to the window; `decompose` builds the
-summand table itself.  Segments are held intensionally (defining monomial,
-window, kind); only the oracle module ever materializes generator lists.
+into sums of binomials.  Both the dimension and the decomposition are read
+off one Macaulay coefficient tuple (see `duality`), that of m restricted to
+the window: summand j is the term C(c_j, j).  Segments are held
+intensionally (defining monomial, window, kind); only the oracle module
+ever materializes generator lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import duality
 from .errors import InvalidInputError
-from .macaulay import space_dimension
+from .macaulay import MacaulayRep, space_dimension
 from .monomial import Monomial, VariableWindow
 
 IDEAL = "ideal"
@@ -170,48 +171,37 @@ def split_once(seg: SegmentSpec) -> SplitResult:
 def decompose(seg: SegmentSpec) -> Decomposition:
     """Full decomposition of an exclusive segment into monomial-space summands.
 
-    Ideal summand i (window.lo <= i <= n-1):
-        prefix m x_i / ct_i(m), window [i, n], degree deg(ct_i(m)) - 1.
-    Quotient summand i (1 <= i <= delta):
-        prefix m / ft_{i-1}(m), window [min(ft_{i-1}(m)) + 1, n],
-        degree delta - i + 1.
+    Summand j is term C(c_j, j) of the segment's coefficient tuple, j = p..1.
+    Ideal summand j (i = n - j runs window.lo..n-1):
+        prefix m x_i / ct_i(m), window [i, n], degree c_j - j.
+    Quotient summand j (j = delta..1):
+        prefix m / ft_{delta-j}(m), window [n - c_j + j, n], degree j.
     Trivial summands are kept so the summand position always lines up with
     the Macaulay coefficient index.
     """
     _require_exclusive(seg)
     n = seg.n
-    m = seg.m
-    summands = []
+    terms = _coefficients(seg).indexed()
     if seg.kind == IDEAL:
-        for i in range(seg.window.lo, n):
-            tail_degree = m.coarse_tail(i).degree
-            prefix_exps = m.exponents[:i] + (0,) * (n - i)
-            prefix = Monomial(prefix_exps).times_var(i)
-            summands.append(
-                Summand(prefix, VariableWindow(i, n), tail_degree - 1)
-            )
+        exps = seg.m.exponents
+        summands = [
+            Summand(Monomial(exps[:n - j - 1] + (exps[n - j - 1] + 1,) + (0,) * j),
+                    VariableWindow(n - j, n), c - j)
+            for j, c in terms
+        ]
     else:
-        factors = m.standard_factorization()
-        for i in range(1, seg.delta + 1):
-            prefix = Monomial.from_factorization(factors[: i - 1], n)
-            lo = factors[i - 1] + 1
-            summands.append(
-                Summand(prefix, VariableWindow(lo, n), seg.delta - i + 1)
-            )
+        factors = seg.m.standard_factorization()
+        summands = [
+            Summand(Monomial.from_factorization(factors[:seg.delta - j], n),
+                    VariableWindow(n - c + j, n), j)
+            for j, c in terms
+        ]
     return Decomposition(seg.kind, tuple(summands))
 
 
 def segment_dimension(seg: SegmentSpec) -> int:
-    """Exact dimension; an inclusive segment counts one more than its exclusive twin.
-
-    The exclusive one is the Macaulay value of the coefficients of m on [lo, n].
-    """
-    restricted = Monomial(seg.m.exponents[seg.window.lo - 1:])
-    if seg.kind == IDEAL:
-        exclusive = duality.ideal_coefficients(restricted).value()
-    else:
-        exclusive = duality.quotient_coefficients(restricted).value()
-    return exclusive + seg.inclusive
+    """Exact dimension; an inclusive segment counts one more than its exclusive twin."""
+    return _coefficients(seg).value() + seg.inclusive
 
 
 def multiply_segment(seg: SegmentSpec) -> SegmentSpec:
@@ -261,3 +251,11 @@ def _require_exclusive(seg: SegmentSpec) -> None:
         raise InvalidInputError(
             "inclusive segments are not decomposable directly; use to_exclusive() first"
         )
+
+
+def _coefficients(seg: SegmentSpec) -> MacaulayRep:
+    """The Macaulay coefficients of m on [lo, n]; their value is the exclusive dimension."""
+    restricted = Monomial(seg.m.exponents[seg.window.lo - 1:])
+    if seg.kind == IDEAL:
+        return duality.ideal_coefficients(restricted)
+    return duality.quotient_coefficients(restricted)

@@ -148,10 +148,12 @@ class TestReconstruct:
         assert code == 2 and "coefficient set" in err
 
     @pytest.mark.parametrize(
-        "text", ["6,3,1_0", "+3,1", "6,3,\u0661"], ids=["underscore", "plus", "arabic-indic"]
+        "text", ["6,3,1_0", "+3,1", "6,3,\u0661", "6,,3,1,", ",,,"],
+        ids=["underscore", "plus", "arabic-indic", "empty-tokens", "only-commas"],
     )
     def test_non_decimal_token_is_usage_error(self, capsys, text):
-        # int() alone would read these as 10, 3 and 1
+        # int() alone would read the first three as 10, 3 and 1; an empty
+        # token is no number either
         code, out, err = run(capsys, "reconstruct", "--set", text, "--p", "6")
         assert code == 2 and out == "" and "coefficient set" in err
 

@@ -1,6 +1,7 @@
 """Segment specs, one-step splits, full decompositions, dimensions, multiplication."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from lexseg import (
     segment_dimension,
     split_once,
 )
+from lexseg.duality import rank, unrank
+from lexseg.macaulay import ideal_growth_bound, quotient_growth_bound, space_dimension
 from lexseg.oracle import enumerate_segment
 from lexseg.segments import reduce_window
 
@@ -232,6 +235,46 @@ class TestSegmentDimension:
             total = segment_dimension(ideal_segment(m)) + segment_dimension(quotient_segment(m)) + 1
             from lexseg import space_dimension
             assert total == space_dimension(m.n, m.degree)
+
+
+def tail_formula_rows(seg):
+    """Summands straight from the paper's tails, one coarse tail or factor index each."""
+    m, n = seg.m, seg.n
+    if seg.kind == IDEAL:
+        return [(Monomial(m.exponents[:i] + (0,) * (n - i)).times_var(i),
+                 VariableWindow(i, n), m.coarse_tail(i).degree - 1)
+                for i in range(seg.window.lo, n)]
+    factors = m.standard_factorization()
+    return [(Monomial.from_factorization(factors[:i - 1], n),
+             VariableWindow(factors[i - 1] + 1, n), seg.delta - i + 1)
+            for i in range(1, seg.delta + 1)]
+
+
+class TestAtScale:
+    def test_identities_on_random_monomials(self):
+        # far beyond enumeration: each identity ties two independent code paths
+        rng = random.Random(15)
+        for _ in range(30):
+            n, delta = rng.randint(2, 300), rng.randint(2, 300)
+            cuts = sorted(rng.randint(0, delta) for _ in range(n - 1))
+            m = Monomial(tuple(b - a for a, b in zip([0, *cuts], [*cuts, delta])))
+            dims = {}
+            for kind in (IDEAL, QUOTIENT):
+                lo = rng.randint(1, m.min_index())
+                seg = SegmentSpec(kind, m, VariableWindow(lo, n))
+                deco = decompose(seg)
+                rows = [(s.prefix, s.window, s.degree) for s in deco.summands]
+                assert rows == tail_formula_rows(seg), (kind, m.to_csv(), lo)
+                assert deco.dimension() == segment_dimension(seg)
+                full = SegmentSpec(kind, m, VariableWindow(1, n))
+                dims[kind] = segment_dimension(full)
+                bound = (ideal_growth_bound(dims[kind], n) if kind == IDEAL
+                         else quotient_growth_bound(dims[kind], delta))
+                assert bound == segment_dimension(multiply_segment(full)), (kind, m.to_csv())
+            total = space_dimension(n, delta)
+            assert dims[IDEAL] + dims[QUOTIENT] + 1 == total
+            q = rng.randint(1, total)
+            assert rank(unrank(q, n, delta)) == q
 
 
 class TestMultiplySegment:
