@@ -2,9 +2,11 @@
 
 Everything here works by materializing monomial lists and spans for small
 (n, delta) cells and comparing them with the closed-form operations of the
-other modules.  The verification sweep treats each cell independently and
-purely, so cells could run concurrently; results merge deterministically
-by cell coordinates.
+other modules.  A cell computes the closed forms of each of its monomials
+once, as (ideal, quotient) pairs of coefficient tuples, exclusive segments
+and decompositions, and every property reads those pairs.  The verification
+sweep treats each cell independently and purely, so cells could run
+concurrently; results merge deterministically by cell coordinates.
 
 The public surface: `enumerate_space` (a graded piece as a lex-descending
 tuple), `enumerate_segment` and `enumerate_summand` (generator lists), each
@@ -56,7 +58,6 @@ from .macaulay import (
 from .monomial import Monomial
 from .segments import (
     IDEAL,
-    Decomposition,
     SegmentSpec,
     SplitResult,
     decompose,
@@ -171,10 +172,14 @@ class _Cell:
     """Per-cell precomputation shared by all property checks.
 
     Segments are checked as slices of the cell's own enumerated lists:
-    `pos` and `next_pos` give each exponent tuple its lex position.
-    Decompositions and the position block of each summand or (prefixed)
-    window space are memoized for the cell's lifetime; segments are cuts
-    of those blocks, so no generator list outlives its block.
+    `pos` and `next_pos` give each exponent tuple its lex position.  The
+    closed forms of the k-th monomial are computed once, as (ideal,
+    quotient) pairs: `coefficients[k]` (the coefficient tuples),
+    `segments[k]` (the exclusive segments) and `decompositions[k]`; every
+    property reads them there.  `spans` holds the brute-force span of each
+    lex prefix.  The position block of each summand or (prefixed) window
+    space is memoized for the cell's lifetime; segments are cuts of those
+    blocks, so no generator list outlives its block.
     """
 
     def __init__(self, n: int, delta: int):
@@ -192,8 +197,30 @@ class _Cell:
         self.next_sorted = self.total_next == space_dimension(n, delta + 1) and all(
             a > b for a, b in zip(self.next_exps, self.next_exps[1:])
         )
-        self._prefix_spans: Optional[tuple[list[int], Optional[list[int]]]] = None
-        self._decompositions: dict[int, tuple[Decomposition, Decomposition]] = {}
+        # the tuples come first, so that a degree-0 cell raises UnitMonomialError
+        self.coefficients = [
+            (duality.ideal_coefficients(m), duality.quotient_coefficients(m)) for m in self.space
+        ]
+        self.segments = [(ideal_segment(m), quotient_segment(m)) for m in self.space]
+        self.decompositions = [(decompose(i), decompose(q)) for i, q in self.segments]
+        # size and largest next-degree position of span(S_1 * exps[:j]), j = 0..total,
+        # from one walk over the brute-force span; no positions when a product
+        # is missing from next_exps
+        sizes, largest = [0], [-1]
+        span: set[tuple[int, ...]] = set()
+        top, complete = -1, True
+        for t in self.exps:
+            for u in _products(t):
+                if u not in span:
+                    span.add(u)
+                    k = self.next_pos.get(u)
+                    if k is None:
+                        complete = False
+                    elif k > top:
+                        top = k
+            sizes.append(len(span))
+            largest.append(top)
+        self.spans: tuple[list[int], Optional[list[int]]] = (sizes, largest if complete else None)
         self._blocks: dict[tuple, Optional[tuple[int, int]]] = {}
 
     def fail(self, prop: str, message: str) -> CheckResult:
@@ -203,37 +230,6 @@ class _Cell:
         if detail is None:
             detail = f"{self.total} monomials"
         return CheckResult(self.label, prop, True, detail)
-
-    def prefix_spans(self) -> tuple[list[int], Optional[list[int]]]:
-        """Size and largest next-degree position of span(S_1 * first j monomials), j = 0..total.
-
-        One incremental walk over the brute-force span sets.  The positions
-        are None when some product is missing from next_exps.
-        """
-        if self._prefix_spans is None:
-            sizes, largest = [0], [-1]
-            span: set[tuple[int, ...]] = set()
-            top, complete = -1, True
-            for t in self.exps:
-                for u in _products(t):
-                    if u not in span:
-                        span.add(u)
-                        k = self.next_pos.get(u)
-                        if k is None:
-                            complete = False
-                        elif k > top:
-                            top = k
-                sizes.append(len(span))
-                largest.append(top)
-            self._prefix_spans = (sizes, largest if complete else None)
-        return self._prefix_spans
-
-    def decompositions(self, k: int) -> tuple[Decomposition, Decomposition]:
-        """decompose() of the k-th monomial's exclusive ideal and quotient segments."""
-        if k not in self._decompositions:
-            m = self.space[k]
-            self._decompositions[k] = (decompose(ideal_segment(m)), decompose(quotient_segment(m)))
-        return self._decompositions[k]
 
     def _block(self, gens: list[tuple[int, ...]]) -> Optional[tuple[int, int]]:
         """The block [start, end) that gens fill at consecutive positions in order, else None."""
@@ -363,9 +359,9 @@ def _prop_predecessor_adjacency(cell: _Cell) -> CheckResult:
 def _prop_segment_dimensions(cell: _Cell) -> CheckResult:
     prop = "segment_dimensions"
     total = cell.total
-    for k, m in enumerate(cell.space):
-        ideal_dim = segment_dimension(ideal_segment(m))
-        quot_dim = segment_dimension(quotient_segment(m))
+    for k, (m, (ideal, quotient)) in enumerate(zip(cell.space, cell.segments)):
+        ideal_dim = segment_dimension(ideal)
+        quot_dim = segment_dimension(quotient)
         checks = (
             ideal_dim == k,
             quot_dim == total - k - 1,
@@ -382,7 +378,7 @@ def _prop_decomposition_partition(cell: _Cell) -> CheckResult:
     """The summands of each segment's decomposition partition its slice."""
     prop = "decomposition_partition"
     for k, m in enumerate(cell.space):
-        for deco, lo, hi in zip(cell.decompositions(k), (0, k + 1), (k, cell.total)):
+        for deco, lo, hi in zip(cell.decompositions[k], (0, k + 1), (k, cell.total)):
             if not _tiles(cell.summand_blocks(deco.summands), lo, hi):
                 return cell.fail(prop, f"{deco.kind} partition broken at m={m.to_csv()}")
     return cell.passed(prop)
@@ -392,7 +388,7 @@ def _prop_split_agreement(cell: _Cell) -> CheckResult:
     """A one-step split's summand and prefixed residual partition the segment's slice."""
     prop = "split_agreement"
     for k, m in enumerate(cell.space):
-        for seg, lo, hi in ((ideal_segment(m), 0, k), (quotient_segment(m), k + 1, cell.total)):
+        for seg, lo, hi in zip(cell.segments[k], (0, k + 1), (k, cell.total)):
             if not _tiles(cell.split_blocks(split_once(seg)), lo, hi):
                 return cell.fail(prop, f"split mismatch for {seg.kind} at m={m.to_csv()}")
     return cell.passed(prop)
@@ -400,10 +396,10 @@ def _prop_split_agreement(cell: _Cell) -> CheckResult:
 
 def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
     prop = "coefficient_dimensions"
-    for k, m in enumerate(cell.space):
-        if duality.ideal_coefficients(m).value() != k:
+    for k, (m, (ideal, quotient)) in enumerate(zip(cell.space, cell.coefficients)):
+        if ideal.value() != k:
             return cell.fail(prop, f"ideal coefficients wrong at m={m.to_csv()}")
-        if duality.quotient_coefficients(m).value() != cell.total - k - 1:
+        if quotient.value() != cell.total - k - 1:
             return cell.fail(prop, f"quotient coefficients wrong at m={m.to_csv()}")
     return cell.passed(prop)
 
@@ -411,15 +407,14 @@ def _prop_coefficient_dimensions(cell: _Cell) -> CheckResult:
 def _prop_set_partition(cell: _Cell) -> CheckResult:
     """The paper's theorem: the two coefficient sets partition {0, ..., n + delta - 2}."""
     prop = "set_partition"
-    ideal, quotient = duality.ideal_coefficients, duality.quotient_coefficients
     universe = frozenset(range(cell.n + cell.delta - 1))
-    for m in cell.space:
+    for m, (ideal, quotient) in zip(cell.space, cell.coefficients):
         try:
             sets = duality.coefficient_sets(m)
         except Exception as exc:  # any invariant breach is a failure
             return cell.fail(prop, f"partition failed at m={m.to_csv()}: {exc}")
         s, t = sets.ideal_set, sets.quotient_set
-        if (s, t) != (ideal(m).as_set(), quotient(m).as_set()):
+        if (s, t) != (ideal.as_set(), quotient.as_set()):
             return cell.fail(prop, f"sets differ from the coefficient tuples at m={m.to_csv()}")
         if (len(s), len(t)) != (cell.n - 1, cell.delta) or s & t or s | t != universe:
             return cell.fail(prop, f"sets do not partition the universe at m={m.to_csv()}")
@@ -430,8 +425,8 @@ def _prop_bijection(cell: _Cell) -> CheckResult:
     prop = "bijection"
     universe = frozenset(range(cell.n + cell.delta - 1))
     images = set()
-    for m in cell.space:
-        s = duality.ideal_coefficients(m).as_set()
+    for m, (ideal, _) in zip(cell.space, cell.coefficients):
+        s = ideal.as_set()
         if len(s) != cell.n - 1 or not s <= universe:
             return cell.fail(prop, f"image not an (n-1)-subset at m={m.to_csv()}")
         images.add(s)
@@ -450,12 +445,10 @@ def _prop_reconstruction_roundtrip(cell: _Cell) -> CheckResult:
     if cell.n == 1:
         return cell.passed(prop, "skipped: needs n >= 2")
     p = cell.n + cell.delta - 2
-    for m in cell.space:
-        s = duality.ideal_coefficients(m).as_set()
-        t = duality.quotient_coefficients(m).as_set()
-        if duality.reconstruct_from_ideal_set(s, p) != m:
+    for m, (ideal, quotient) in zip(cell.space, cell.coefficients):
+        if duality.reconstruct_from_ideal_set(ideal.as_set(), p) != m:
             return cell.fail(prop, f"ideal-set reconstruction broken at m={m.to_csv()}")
-        if duality.reconstruct_from_quotient_set(t, p) != m:
+        if duality.reconstruct_from_quotient_set(quotient.as_set(), p) != m:
             return cell.fail(prop, f"quotient-set reconstruction broken at m={m.to_csv()}")
     return cell.passed(prop)
 
@@ -463,9 +456,9 @@ def _prop_reconstruction_roundtrip(cell: _Cell) -> CheckResult:
 def _prop_rank_unrank(cell: _Cell) -> CheckResult:
     prop = "rank_unrank"
     total = cell.total
-    for k, m in enumerate(cell.space):
+    for k, (m, (_, quotient)) in enumerate(zip(cell.space, cell.coefficients)):
         q = duality.rank(m)
-        q_from_quotient = total - duality.quotient_coefficients(m).value()
+        q_from_quotient = total - quotient.value()
         if q != k + 1 or q_from_quotient != q:
             return cell.fail(prop, f"rank mismatch at m={m.to_csv()}")
         if duality.unrank(q, cell.n, cell.delta) != m:
@@ -486,14 +479,14 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
     misses a product.
     """
     prop = "multiplication_agreement"
-    sizes, largest = cell.prefix_spans()
+    sizes, largest = cell.spans
     if not cell.next_sorted or largest is None:
         return cell.fail(prop, f"degree {cell.delta + 1} listing is unsorted or incomplete")
-    for k, m in enumerate(cell.space):
+    for k, (m, (ideal, quotient)) in enumerate(zip(cell.space, cell.segments)):
         for seg in (
-            ideal_segment(m),
+            ideal,
             ideal_segment(m, inclusive=True),
-            quotient_segment(m),
+            quotient,
             quotient_segment(m, inclusive=True),
         ):
             # e = 1 when m itself sits on the prefix side: the inclusive ideal
@@ -520,7 +513,7 @@ def _prop_multiplication_agreement(cell: _Cell) -> CheckResult:
 def _prop_multiply_decomposition_dims(cell: _Cell) -> CheckResult:
     prop = "multiply_decomposition_dims"
     for k, m in enumerate(cell.space):
-        for seg, deco in zip((ideal_segment(m), quotient_segment(m)), cell.decompositions(k)):
+        for seg, deco in zip(cell.segments[k], cell.decompositions[k]):
             got = multiply_decomposition(deco).dimension()
             want = segment_dimension(multiply_segment(seg))
             if got != want:
@@ -534,8 +527,7 @@ def _prop_window_reduction(cell: _Cell) -> CheckResult:
     """Raising a quotient segment's window floor to min(m) keeps its block."""
     prop = "window_reduction"
     unit = Monomial.unit(cell.n)
-    for m in cell.space:
-        seg = quotient_segment(m)
+    for m, (_, seg) in zip(cell.space, cell.segments):
         reduced = reduce_window(seg)
         if reduced.window.lo != m.min_index():
             return cell.fail(prop, f"window floor wrong at m={m.to_csv()}")
@@ -554,8 +546,8 @@ def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
     prop = "shift_inheritance"
     ideal, quotient = duality.ideal_coefficients, duality.quotient_coefficients
     newcomer = cell.n + cell.delta - 1
-    for m in cell.space:
-        s_set, t_set = ideal(m).as_set(), quotient(m).as_set()
+    for m, pair in zip(cell.space, cell.coefficients):
+        s_set, t_set = (c.as_set() for c in pair)
         x1m, shifted = m.times_var(1), m.shift(1)
         identities = (
             ("ideal set preserved under x_1 multiple", ideal(x1m).as_set(), s_set),
@@ -572,7 +564,7 @@ def _prop_shift_inheritance(cell: _Cell) -> CheckResult:
 def _prop_growth_formula_lex(cell: _Cell) -> CheckResult:
     """Sharpness: the growth transforms reproduce lex-segment spans exactly."""
     prop = "growth_formula_lex"
-    sizes, _ = cell.prefix_spans()
+    sizes, _ = cell.spans
     for k in range(cell.total + 1):
         if cell.n >= 2 and ideal_growth_bound(k, cell.n) != sizes[k]:
             return cell.fail(prop, f"ideal growth formula != span at segment size {k}")

@@ -41,6 +41,8 @@ class SegmentSpec:
     def __post_init__(self) -> None:
         if self.kind not in (IDEAL, QUOTIENT):
             raise InvalidInputError(f"unknown segment kind {self.kind!r}")
+        if type(self.inclusive) is not bool:
+            raise InvalidInputError(f"inclusive={self.inclusive!r} is not a bool")
         if self.m.is_unit:
             raise InvalidInputError("segments of the unit monomial are not defined")
         if self.window.size < 1:

@@ -246,6 +246,18 @@ class TestTextForms:
     def test_letters_for_unit(self):
         assert Monomial.unit(3).to_letters() == "1"
 
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40))
+    def test_csv_roundtrip_any_vector(self, exps):
+        m = Monomial(tuple(exps))
+        assert parse_monomial(m.to_csv()) == m
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=26).filter(any))
+    def test_letter_roundtrip_any_non_unit(self, exps):
+        # the unit is left out on purpose: its letter form "1" reads back as
+        # the CSV form of x_1, not as the unit
+        m = Monomial(tuple(exps))
+        assert parse_monomial(m.to_letters(), m.n) == m
+
     def test_csv_rejects_junk_with_position(self):
         with pytest.raises(MonomialParseError):
             parse_monomial("2,x,1")

@@ -152,7 +152,7 @@ class TestSpanMultiply:
         # frozen against enumeration: the 362-dim segment spans 653 products
         gens = [g.exponents for g in enumerate_segment(ideal_segment(M68))]
         span = {u for t in gens for u in oracle._products(t)}
-        sizes, _ = oracle._Cell(6, 8).prefix_spans()
+        sizes, _ = oracle._Cell(6, 8).spans
         assert len(gens) == 362 and sizes[362] == len(span) == 653
         product = enumerate_segment(ideal_segment(mono("2,1,0,3,0,3")))
         assert span == {g.exponents for g in product}
@@ -161,12 +161,12 @@ class TestSpanMultiply:
 class TestHilbertNext:
     def test_full_piece(self):
         cell = oracle._Cell(3, 2)
-        grown = cell.prefix_spans()[0][cell.total]
+        grown = cell.spans[0][cell.total]
         assert (grown, cell.total_next - grown) == (10, 0)
 
     def test_empty_sample(self):
         cell = oracle._Cell(3, 2)
-        grown = cell.prefix_spans()[0][0]
+        grown = cell.spans[0][0]
         assert (grown, cell.total_next - grown) == (0, 10)
 
     def test_bounds_hold_on_seeded_samples(self):
@@ -430,7 +430,7 @@ class TestFaultInjection:
         unsorted = oracle._Cell(3, 3)
         unsorted.next_sorted = False
         incomplete = oracle._Cell(3, 3)
-        incomplete._prefix_spans = (incomplete.prefix_spans()[0], None)
+        incomplete.spans = (incomplete.spans[0], None)
         for cell in (unsorted, incomplete):
             assert not oracle._prop_multiplication_agreement(cell).ok
 

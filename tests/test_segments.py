@@ -23,7 +23,7 @@ from lexseg import (
     segment_dimension,
     split_once,
 )
-from lexseg.duality import rank, unrank
+from lexseg.duality import coefficient_sets, rank, unrank
 from lexseg.macaulay import ideal_growth_bound, quotient_growth_bound, space_dimension
 from lexseg.oracle import enumerate_segment
 from lexseg.segments import reduce_window
@@ -57,6 +57,13 @@ class TestSegmentSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             SegmentSpec("segment", M68, VariableWindow(1, 6))
+
+    @pytest.mark.parametrize("inclusive", [2, 1, 0, "no", None])
+    def test_non_bool_inclusive_rejected(self, inclusive):
+        # inclusive is added to the dimension, so 1 and 0 count too: only a
+        # bool may say whether m itself belongs to the segment
+        with pytest.raises(InvalidInputError):
+            SegmentSpec(IDEAL, M68, VariableWindow(1, 6), inclusive)
 
     def test_to_exclusive_ideal_uses_successor(self):
         seg = ideal_segment(mono("1,1"), inclusive=True).to_exclusive()
@@ -275,6 +282,13 @@ class TestAtScale:
             assert dims[IDEAL] + dims[QUOTIENT] + 1 == total
             q = rng.randint(1, total)
             assert rank(unrank(q, n, delta)) == q
+            # the paper's theorem: the two coefficient sets partition {0, ..., n + delta - 2}
+            sets = coefficient_sets(m)
+            s, t = sets.ideal_set, sets.quotient_set
+            assert (len(s), len(t)) == (n - 1, delta) and not s & t, m.to_csv()
+            assert s | t == frozenset(range(n + delta - 1)), m.to_csv()
+            if m.max_index() > 1:
+                assert rank(m.predecessor()) == rank(m) - 1, m.to_csv()
 
 
 class TestMultiplySegment:
